@@ -166,6 +166,15 @@ def ode_rhs(t, y, setup: CollocationSetup, params: ModelParameters,
     return dy
 
 
+def rk4_step(f, t, y, h) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of size h from (t, y)."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def rk4_integrate(rhs, y0, time_grid) -> np.ndarray:
     """Classical fourth-order Runge-Kutta over a uniform grid.
 
@@ -179,12 +188,7 @@ def rk4_integrate(rhs, y0, time_grid) -> np.ndarray:
     out[0] = y
     for n in range(time_grid.size - 1):
         t = time_grid[n]
-        h = time_grid[n + 1] - t
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(rhs, t, y, time_grid[n + 1] - t)
         if not np.all(np.isfinite(y)):
             raise IntegrationError(float(time_grid[n + 1]))
         out[n + 1] = y
@@ -246,12 +250,7 @@ def _integrate_with_control(y0, setup, params, n_steps, store=False):
         phi_prev = phi
         if n == grid.size - 1:
             break
-        f = lambda tt, yy: ode_rhs(tt, yy, setup, params, phi)
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(lambda tt, yy: ode_rhs(tt, yy, setup, params, phi), t, y, h)
         if not np.all(np.isfinite(y)):
             raise IntegrationError(float(grid[n + 1]))
         if store:

@@ -1,50 +1,33 @@
-"""Hot-loop evaluation of coefficient and right-hand-side grids.
+"""Evaluation of the state-equation coefficient and right-hand-side grids.
 
 The fixed-point solver evaluates every model coefficient and source at all
 (N x M) collocation node pairs once per iteration, and the SQP driver
-re-runs the fixed point for every finite-difference probe, so this is the
-dominant per-iteration cost besides the dense solves.  Two interchangeable
-backends are provided:
-
-* a numba ``@njit`` scalar-loop kernel (default when numba imports), and
-* a vectorized pure-numpy fallback built on :mod:`plaquectrl.model`.
-
-Set ``PLAQUECTRL_NO_NUMBA=1`` to force the numpy path.  Both backends are
-exercised against each other in the test suite and in
-``benchmarks/bench_kernels.py``.
+re-runs the fixed point for every finite-difference probe.  The grids are
+built by broadcasting the pointwise formulas of :mod:`plaquectrl.model`
+over a column of space nodes against a row of time nodes.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
 from . import model
 from .params import ModelParameters
 
-_USE_NUMBA = os.environ.get("PLAQUECTRL_NO_NUMBA", "0") not in ("1", "true", "yes")
-if _USE_NUMBA:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
-
 
 def backend_name() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
+    return "numpy"
 
 
-def params_tuple(p: ModelParameters) -> tuple:
-    """Flatten parameters for the jitted kernel."""
-    return (
-        p.k1, p.K1, p.k2, p.K2, p.r1, p.r2, p.D, p.mu1, p.mu2, p.lam,
-        p.delta, p.M0, p.alpha, p.beta, p.L0, p.H0, p.eps, p.T,
-    )
+def eval_state_grids(rho, Rt, vin, v, L, H, F, phi, p: ModelParameters):
+    """All state-equation coefficient/source grids for one fixed-point sweep.
 
-
-def _state_grids_numpy(rho, Rt, vin, v, L, H, F, phi, p: ModelParameters):
+    Shapes: ``rho (N,)``, ``Rt/vin/phi (M,)``, field grids ``(N, M)``.
+    Returns ``(FL, FH, FF, G12, G32, G11, G31)`` with the last two shaped
+    ``(M,)`` (they do not depend on rho).
+    """
+    if np.any(Rt + p.eps >= 1.0):
+        raise model.OcclusionError("R + eps >= 1 on the time grid")
     col = rho[:, None]
     fields = {"L": L, "H": H, "F": F, "v": v}
     FL = model.rhs("fL", col, None, Rt, vin, fields, phi, p)
@@ -55,103 +38,3 @@ def _state_grids_numpy(rho, Rt, vin, v, L, H, F, phi, p: ModelParameters):
     G11 = np.asarray(model.coeff("g11", 0.0, Rt, 0.0, 0.0, p), dtype=float)
     G31 = np.asarray(model.coeff("g31", 0.0, Rt, 0.0, 0.0, p), dtype=float)
     return FL, FH, FF, G12, G32, G11, G31
-
-
-if _USE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _state_grids_numba(rho, Rt, vin, v, L, H, F, phi, pt):  # pragma: no cover
-        (k1, K1, k2, K2, r1, r2, D, mu1, mu2, lam,
-         delta, M0, alpha, beta, L0, H0, eps, T) = pt
-        n = rho.shape[0]
-        m = Rt.shape[0]
-        FL = np.empty((n, m))
-        FH = np.empty((n, m))
-        FF = np.empty((n, m))
-        G12 = np.empty((n, m))
-        G32 = np.empty((n, m))
-        G11 = np.empty(m)
-        G31 = np.empty(m)
-        for l in range(m):
-            Rb = Rt[l] + eps
-            om = 1.0 - Rb
-            G11[l] = 4.0 / om**2
-            G31[l] = 4.0 * D / om**2
-            vi = vin[l]
-            ph = phi[l]
-            for i in range(n):
-                x = rho[i]
-                w = (1.0 - x) ** 2
-                q = (x + 1.0) + Rb * (1.0 - x)
-                sl = -alpha * om * w / 8.0
-                sf = -beta * om * w / 8.0
-                esl = math.exp(sl)
-                esf = math.exp(sf)
-                Li = L[i, l]
-                Hi = H[i, l]
-                Fi = F[i, l]
-                vloc = v[i, l]
-                Lden = K1 + esl * Li + L0
-                Fden = K2 + esf * Fi
-                Hden = delta + esl * Hi + H0
-                tA = alpha * vi * w / (4.0 * T)
-                tB = vi * (x + 1.0) * (1.0 - x) * alpha / 4.0
-                tC = -2.0 * alpha * (1.0 - x) / q
-                tD = alpha / om
-                tE = alpha * alpha * w / 4.0
-                FL[i, l] = (
-                    (tA + tB + tC + tD + tE) * Li
-                    - r1 * math.exp(-sl) * (esl * Li + L0)
-                    - k1 * (M0 - esf * Fi) * (esl * Li + L0) / Lden * math.exp(-sl)
-                )
-                FH[i, l] = (
-                    (tA + tB + tC + tD + tE) * Hi
-                    - r2 * math.exp(-sl) * (esl * Hi + H0)
-                    - (ph + k2) * math.exp(-sl) * esf * Fi * (esl * Hi + H0) / Fden
-                )
-                FF[i, l] = (
-                    beta * vi * w / (4.0 * T) * Fi
-                    + vi * (x + 1.0) * (1.0 - x) * beta / 4.0 * Fi
-                    - 2.0 * beta * D * (1.0 - x) / q * Fi
-                    + vloc * beta * (1.0 - x) / 2.0
-                    + D * beta / om * Fi
-                    + beta * beta * D * w / 4.0 * Fi
-                    + k1 * (M0 - esf * Fi) * (esl * Li + L0) * math.exp(-sl) / Lden
-                    - (ph + k2) * (esl * Hi + H0) * Fi / Fden
-                    - lam * Fi * (M0 - esf * Fi) * (esl * Li + L0) / Hden
-                    + (mu1 - mu2) * Fi * (M0 - esf * Fi) / M0
-                )
-                G12[i, l] = (
-                    -8.0 / (q * om)
-                    - vi * (x + 1.0) / om
-                    + 2.0 * (1.0 - x) * alpha / om
-                )
-                G32[i, l] = (
-                    -8.0 * D / (q * om)
-                    - vi * (x + 1.0) / om
-                    + 2.0 * D * (1.0 - x) * alpha / om
-                    + 2.0 * vloc / om
-                )
-        return FL, FH, FF, G12, G32, G11, G31
-
-
-def eval_state_grids(rho, Rt, vin, v, L, H, F, phi, p: ModelParameters):
-    """All state-equation coefficient/source grids for one fixed-point sweep.
-
-    Shapes: ``rho (N,)``, ``Rt/vin/phi (M,)``, field grids ``(N, M)``.
-    Returns ``(FL, FH, FF, G12, G32, G11, G31)`` with the last two shaped
-    ``(M,)`` (they do not depend on rho).
-    """
-    rho = np.ascontiguousarray(rho, dtype=float)
-    Rt = np.ascontiguousarray(Rt, dtype=float)
-    if np.any(Rt + p.eps >= 1.0):
-        raise model.OcclusionError("R + eps >= 1 on the time grid")
-    vin = np.ascontiguousarray(vin, dtype=float)
-    phi = np.ascontiguousarray(phi, dtype=float)
-    v = np.ascontiguousarray(v, dtype=float)
-    L = np.ascontiguousarray(L, dtype=float)
-    H = np.ascontiguousarray(H, dtype=float)
-    F = np.ascontiguousarray(F, dtype=float)
-    if _USE_NUMBA:
-        return _state_grids_numba(rho, Rt, vin, v, L, H, F, phi, params_tuple(p))
-    return _state_grids_numpy(rho, Rt, vin, v, L, H, F, phi, p)

@@ -4,17 +4,15 @@ The spatial trial functions have zero slope at both endpoints (Neumann
 boundary conditions are built in); the temporal trial functions vanish at
 t = -1 (zero initial data is built in).  Collocation uses Legendre-Gauss
 nodes in space and Legendre-Gauss-Radau nodes (right endpoint included) in
-time.
+time; both node sets are eigenvalues of a tridiagonal Jacobi matrix.
 """
 
 from __future__ import annotations
 
-import functools
-
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, lu_solve
 
 
 def jacobi_eval(n: int, a: float, b: float, x: float, d: int = 0) -> float:
@@ -76,100 +74,40 @@ def _jacobi_value(n, a, b, x):
     return p if np.ndim(x) else float(p)
 
 
-def _polish_roots(f, df, roots, max_newton=60):
-    """Newton-polish approximate roots of f to near machine residual."""
-    out = []
-    for r in roots:
-        x = r
-        for _ in range(max_newton):
-            fx = f(x)
-            dfx = df(x)
-            if dfx == 0.0:
-                break
-            step = fx / dfx
-            x -= step
-            if abs(step) < 1e-16:
-                break
-        out.append(x)
-    return np.array(out)
+def _jacobi_zeros(n: int, a: float, b: float) -> np.ndarray:
+    """Zeros of J_n^{a,b}, ascending (Golub & Welsch, Math. Comp. 23, 1969).
 
-
-def _bracketed_roots(f, n_roots, lo=-1.0, hi=1.0, oversample=16):
-    """Find n_roots simple real roots of f in (lo, hi) via sign scan + bisection."""
-    m = max(oversample * (n_roots + 1), 64)
-    # Chebyshev-clustered sample points resolve endpoint-clustered roots
-    theta = np.linspace(np.pi, 0.0, m)
-    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
-    fs = np.array([f(x) for x in xs])
-    roots = []
-    for i in range(m - 1):
-        if fs[i] == 0.0:
-            roots.append(xs[i])
-            continue
-        if fs[i] * fs[i + 1] < 0.0:
-            a_, b_ = xs[i], xs[i + 1]
-            fa = fs[i]
-            # a short bisection suffices: Newton polishing finishes the job
-            for _ in range(24):
-                mid = 0.5 * (a_ + b_)
-                fm = f(mid)
-                if fm == 0.0:
-                    a_ = b_ = mid
-                    break
-                if fa * fm < 0.0:
-                    b_ = mid
-                else:
-                    a_, fa = mid, fm
-            roots.append(0.5 * (a_ + b_))
-    if len(roots) != n_roots:
-        raise RuntimeError(f"expected {n_roots} roots, bracketed {len(roots)}")
-    return np.array(roots)
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_nodes_cached(N: int) -> np.ndarray:
-    n = N + 1
-    if n == 1:
-        return np.array([0.0])
-    f = lambda x: jacobi_eval(n, 0.0, 0.0, x, 0)
-    df = lambda x: jacobi_eval(n, 0.0, 0.0, x, 1)
-    rough = _bracketed_roots(f, n)
-    nodes = _polish_roots(f, df, rough)
-    nodes.sort()
-    return nodes
+    They are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    built from the three-term recurrence of the orthonormal polynomials.
+    """
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    if a == b:  # the general formula is 0/0 at k = 0 when a = b = 0
+        diag = np.zeros(n)
+    else:
+        diag = (b * b - a * a) / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b)
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def legendre_gauss_nodes(N: int) -> np.ndarray:
     """The N+1 Legendre-Gauss nodes: zeros of J_{N+1}^{0,0}, ascending."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    return _gauss_nodes_cached(int(N)).copy()
-
-
-@functools.lru_cache(maxsize=None)
-def _radau_nodes_cached(M: int) -> np.ndarray:
-    if M == 0:
-        return np.array([1.0])
-    f = lambda x: jacobi_eval(M, 0.0, 0.0, x, 0) + jacobi_eval(M + 1, 0.0, 0.0, x, 0)
-    df = lambda x: jacobi_eval(M, 0.0, 0.0, x, 1) + jacobi_eval(M + 1, 0.0, 0.0, x, 1)
-    # deflate the known root at -1
-    g = lambda x: f(x) / (1.0 + x)
-    rough = _bracketed_roots(g, M, lo=-1.0 + 1e-9, hi=1.0)
-    interior = _polish_roots(f, df, rough)
-    nodes = np.sort(-np.concatenate([interior, [-1.0]]))
-    nodes[-1] = 1.0
-    return nodes
+    return _jacobi_zeros(int(N) + 1, 0.0, 0.0)
 
 
 def legendre_gauss_radau_nodes(M: int) -> np.ndarray:
     """The M+1 Legendre-Gauss-Radau nodes on (-1, 1], last node exactly +1.
 
-    Computed as the negated zeros of J_M^{0,0} + J_{M+1}^{0,0} (whose zero
-    set contains -1), so the returned set contains +1 and excludes -1.
+    These are the negated zeros of J_M^{0,0} + J_{M+1}^{0,0} (whose zero
+    set contains -1): the M zeros of J_M^{1,0} followed by +1.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    return _radau_nodes_cached(int(M)).copy()
+    return np.append(_jacobi_zeros(int(M), 1.0, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -266,8 +204,6 @@ class CollocationSetup:
 
     def solve_space_values(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the space basis interpolating nodal values."""
-        from scipy.linalg import lu_solve
-
         return lu_solve(self._lu_D0rT, values)
 
 

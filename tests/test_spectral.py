@@ -58,7 +58,7 @@ class TestJacobiEval:
 
 
 class TestNodes:
-    @pytest.mark.parametrize("N", range(0, 16))
+    @pytest.mark.parametrize("N", [*range(0, 16), 31, 32])
     def test_gauss_nodes_are_legendre_zeros(self, N):
         nodes = legendre_gauss_nodes(N)
         assert nodes.shape == (N + 1,)
@@ -66,7 +66,7 @@ class TestNodes:
         residual = jacobi_eval(N + 1, 0.0, 0.0, nodes, 0)
         assert np.max(np.abs(residual)) < 1e-12
 
-    @pytest.mark.parametrize("M", range(0, 16))
+    @pytest.mark.parametrize("M", [*range(0, 16), 31, 32])
     def test_radau_nodes_satisfy_negated_sum_condition(self, M):
         nodes = legendre_gauss_radau_nodes(M)
         assert nodes.shape == (M + 1,)
