@@ -39,7 +39,7 @@ SOLVER_KEYS = {
     "shoot_tol": 1e-8, "shoot_max_iter": 50, "rk4_steps": 400,
 }
 RUN_KEYS = {
-    "method": "both", "output_dir": "out",
+    "output_dir": "out",
     "sweep_pairs": "0.0100:0.0050,0.0120:0.0050,0.0140:0.0050,0.0160:0.0050",
     "study_grids": "2x2,4x4,8x8",
 }
@@ -168,8 +168,6 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigError(f"unknown configuration key {key!r}")
     if grid["N"] < 1 or grid["M"] < 1:
         raise ConfigError("grid sizes N, M must be >= 1")
-    if run["method"] not in ("direct", "indirect", "both"):
-        raise ConfigError(f"method must be direct|indirect|both, got {run['method']!r}")
     if solver["fp_tol"] <= 0 or solver["fp_max_iter"] < 1:
         raise ConfigError("fp_tol must be > 0 and fp_max_iter >= 1")
     if solver["rk4_steps"] < 2:

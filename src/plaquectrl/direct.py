@@ -1,9 +1,10 @@
 """Direct optimal-control route: fixed-point linearization + collocation + NLP.
 
-Each fixed-point pass freezes the previous iterate, assembles one square
-space-time Kronecker collocation operator per field, solves for the new
-coefficient matrices, and advances the free boundary by a collocated ODE in
-time.  The scalar objective 1 - R(1) - eps over piecewise-constant controls
+Each fixed-point pass freezes the previous iterate, assembles the square
+space-time Kronecker collocation operators (one shared by L and H, one for
+F), solves for the new coefficient matrices, updates the velocity at every
+time node in one solve, and advances the free boundary by a collocated ODE
+in time.  The scalar objective 1 - R(1) - eps over piecewise-constant controls
 is then handed to the SQP driver in :mod:`plaquectrl.nlp`.
 """
 
@@ -20,7 +21,7 @@ from .spectral import CollocationSetup
 
 
 class NonConvergenceError(RuntimeError):
-    """Fixed-point iteration produced a non-finite update."""
+    """Fixed-point iteration produced a non-finite update or did not converge."""
 
 
 class SingularOperatorError(np.linalg.LinAlgError):
@@ -126,14 +127,15 @@ def assemble_operator(kind: str, grids, setup: CollocationSetup,
     return A
 
 
-def _solve_field(kind, A, rhs_grid, setup):
+def _solve_fields(kind, A, rhs_grids):
+    """Coefficient matrices (k, N, M) for k (N, M) source grids sharing ``A``."""
     try:
-        sol = np.linalg.solve(A, rhs_grid.reshape(-1))
+        sol = np.linalg.solve(A, rhs_grids.reshape(len(rhs_grids), -1).T)
     except np.linalg.LinAlgError:
         raise SingularOperatorError(kind, float(np.linalg.cond(A))) from None
     if not np.all(np.isfinite(sol)):
         raise SingularOperatorError(kind, float(np.linalg.cond(A)))
-    return sol.reshape(setup.N, setup.M)
+    return sol.T.reshape(rhs_grids.shape)
 
 
 def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
@@ -143,8 +145,9 @@ def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
 
     All coefficient and source grids are frozen at the previous iterate; the
     boundary ODE (2/T) R' = v(-1, t) is advanced with the previous velocity.
-    Stops when the sup-norm delta of the stacked coefficients drops below
-    ``tol``; otherwise returns the last iterate with ``converged=False``.
+    L and H share one operator, solved once with both sources.  Stops when
+    the sup-norm delta of the stacked coefficients drops below ``tol``;
+    otherwise returns the last iterate with ``converged=False``.
 
     Updates are under-relaxed adaptively: the blend weight halves whenever
     the raw update delta grows and recovers toward 1 as it contracts.  Any
@@ -156,35 +159,27 @@ def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
         raise ValueError("tol must be positive and max_iter >= 1")
     N, M = setup.N, setup.M
     phi = control.values_at(setup.t)
-    C_L = np.zeros((N, M))
-    C_H = np.zeros((N, M))
-    C_F = np.zeros((N, M))
+    C = np.zeros((3, N, M))  # L, H, F coefficient matrices
     C_R = np.zeros(M)
-    Lg = np.zeros((N, M))
-    Hg = np.zeros((N, M))
-    Fg = np.zeros((N, M))
+    nodal = np.zeros((3, N, M))  # L, H, F nodal values
     Rt = np.zeros(M)
     v_field = np.zeros((N, M))
     v_inner = np.zeros(M)
-    dv_inner = np.zeros(M)
     history = []
     converged = False
     omega = 1.0
     it = 0
     for it in range(1, max_iter + 1):
         grids = kernels.eval_state_grids(setup.rho, Rt, v_inner, v_field,
-                                         Lg, Hg, Fg, phi, params)
-        FLg, FHg, FFg = grids[0], grids[1], grids[2]
-        C_L_new = _solve_field("L", assemble_operator("L", grids, setup, params), FLg, setup)
-        C_H_new = _solve_field("H", assemble_operator("H", grids, setup, params), FHg, setup)
-        C_F_new = _solve_field("F", assemble_operator("F", grids, setup, params), FFg, setup)
+                                         *nodal, phi, params)
+        C_new = np.concatenate([
+            _solve_fields("L/H", assemble_operator("L", grids, setup, params),
+                          np.stack(grids[:2])),
+            _solve_fields("F", assemble_operator("F", grids, setup, params),
+                          grids[2][None]),
+        ])
         C_R_new = np.linalg.solve((2.0 / params.T) * setup.D1t.T, v_inner)
-        delta = max(
-            np.max(np.abs(C_L_new - C_L)),
-            np.max(np.abs(C_H_new - C_H)),
-            np.max(np.abs(C_F_new - C_F)),
-            np.max(np.abs(C_R_new - C_R)),
-        )
+        delta = max(np.max(np.abs(C_new - C)), np.max(np.abs(C_R_new - C_R)))
         if not np.isfinite(delta):
             raise NonConvergenceError(f"non-finite update at iteration {it}")
         if history and delta > history[-1]:
@@ -192,28 +187,19 @@ def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
         elif omega < 1.0 and history and delta < 0.5 * history[-1]:
             omega = min(2.0 * omega, 1.0)
         history.append(float(delta))
-        C_L = (1.0 - omega) * C_L + omega * C_L_new
-        C_H = (1.0 - omega) * C_H + omega * C_H_new
-        C_F = (1.0 - omega) * C_F + omega * C_F_new
+        C = (1.0 - omega) * C + omega * C_new
         C_R = (1.0 - omega) * C_R + omega * C_R_new
-        Lg = setup.field_values(C_L)
-        Hg = setup.field_values(C_H)
-        Fg = setup.field_values(C_F)
+        nodal = setup.field_values(C)
         Rt = C_R @ setup.D0t
-        for l in range(M):
-            fields_l = {"L": Lg[:, l], "H": Hg[:, l], "F": Fg[:, l]}
-            vn, vi, dvi = model.velocity_solve(Rt[l], setup.t[l], fields_l,
-                                               params, setup)
-            v_field[:, l] = vn
-            v_inner[l] = vi
-            dv_inner[l] = dvi
+        v_field, v_inner, dv_inner = model.velocity_solve(
+            Rt, setup.t, dict(zip("LHF", nodal)), params, setup)
         if delta < tol:
             converged = True
             break
-    return StateSolution(C_L=C_L, C_H=C_H, C_F=C_F, C_R=C_R,
-                         v_field=v_field.copy(), v_inner=v_inner.copy(),
-                         dv_inner=dv_inner.copy(), residual_history=history,
-                         converged=converged, iterations=it, setup=setup)
+    return StateSolution(C_L=C[0], C_H=C[1], C_F=C[2], C_R=C_R,
+                         v_field=v_field, v_inner=v_inner, dv_inner=dv_inner,
+                         residual_history=history, converged=converged,
+                         iterations=it, setup=setup)
 
 
 def objective(control: ControlVector, setup: CollocationSetup,

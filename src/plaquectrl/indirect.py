@@ -205,15 +205,17 @@ def _control_from_xi(xi_value, phi_prev, Kbound):
 
 
 def _xi_at_inner(y, setup, params):
-    """Switching function at rho = -1 for the packed state."""
+    """Switching function at rho = -1 for the packed state.
+
+    The P_F exponent carries the factor (1 + rho), so at rho = -1 the
+    switching function does not depend on the velocity.
+    """
     N = setup.N
     aL, aH, aF, bPL, bPH, bPF, R, PR = _unpack(y, N)
+    if R + params.eps >= 1.0:
+        raise model.OcclusionError(f"R + eps >= 1 at the switching check (R = {R})")
     e = setup.space_at_m1
-    Hg = setup.D0r.T @ aH
-    Fg = setup.D0r.T @ aF
-    fields_n = {"L": setup.D0r.T @ aL, "H": Hg, "F": Fg}
-    _, v_inner, _ = model.velocity_solve(R, -1.0, fields_n, params, setup)
-    fields = {"H": float(e @ aH), "F": float(e @ aF), "v": v_inner}
+    fields = {"H": float(e @ aH), "F": float(e @ aF)}
     adjoints = {"P_H": float(e @ bPH), "P_F": float(e @ bPF)}
     return float(model.switching_xi(-1.0, 0.0, fields, adjoints, R, params))
 

@@ -322,16 +322,13 @@ def _vsetup(setup: CollocationSetup) -> dict:
     at_p1 = np.ones(n)
     at_m1 = (-1.0) ** degs
     d_at_m1 = np.array([jacobi_eval(m, 0.0, 0.0, -1.0, 1) for m in degs])
-    d_at_p1 = np.array([jacobi_eval(m, 0.0, 0.0, 1.0, 1) for m in degs])
     A_outer = np.vstack([V1, at_p1])  # value pinned at rho = +1 (velocity)
     A_inner = np.vstack([V1, at_m1])  # value pinned at rho = -1 (P_v)
     cached = {
         "V0": V0,
         "V1": V1,
         "at_m1": at_m1,
-        "at_p1": at_p1,
         "d_at_m1": d_at_m1,
-        "d_at_p1": d_at_p1,
         "lu_outer": lu_factor(A_outer),
         "lu_inner": lu_factor(A_inner),
     }
@@ -343,22 +340,23 @@ def velocity_solve(R, t, fields, params: ModelParameters, setup: CollocationSetu
                    return_slope=False):
     """Solve the first-order velocity equation by collocation.
 
-    ``fields`` maps "L", "H", "F" to nodal value arrays on ``setup.rho``.
-    Enforces v(rho = 1) = 0 and returns ``(v_nodes, v_inner, dv_inner)``
-    where the last two are v and dv/drho at rho = -1; with
-    ``return_slope=True`` the nodal slopes dv/drho are appended.
+    ``fields`` maps "L", "H", "F" to nodal values on ``setup.rho``: shape
+    (N,) for a scalar ``R``, or (N, M) for ``R`` of shape (M,), one column
+    per time node, all solved in one call.  Enforces v(rho = 1) = 0 and
+    returns ``(v_nodes, v_inner, dv_inner)`` where the last two are v and
+    dv/drho at rho = -1 (scalars, or shape (M,)); with ``return_slope=True``
+    the nodal slopes dv/drho are appended.
     """
     _check_occlusion(R, params)
     vs = _vsetup(setup)
-    fv = rhs("fv", setup.rho, t, R, 0.0, fields, 0.0, params)
-    fv = np.broadcast_to(np.asarray(fv, dtype=float), setup.rho.shape)
-    b = np.concatenate([fv, [0.0]])
-    a = lu_solve(vs["lu_outer"], b)
+    rho = setup.rho if np.ndim(R) == 0 else setup.rho[:, None]
+    fv = rhs("fv", rho, t, R, 0.0, fields, 0.0, params)
+    a = lu_solve(vs["lu_outer"], np.concatenate([fv, np.zeros_like(fv[:1])]))
     if not np.all(np.isfinite(a)):
         raise np.linalg.LinAlgError("singular velocity collocation system")
     v_nodes = vs["V0"] @ a
-    v_inner = float(vs["at_m1"] @ a)
-    dv_inner = float(vs["d_at_m1"] @ a)
+    v_inner = vs["at_m1"] @ a
+    dv_inner = vs["d_at_m1"] @ a
     if return_slope:
         return v_nodes, v_inner, dv_inner, vs["V1"] @ a
     return v_nodes, v_inner, dv_inner

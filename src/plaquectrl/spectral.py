@@ -183,12 +183,11 @@ class CollocationSetup:
     D1t: np.ndarray
     # basis values at the interval endpoints (for boundary synthesis)
     space_at_m1: np.ndarray = field(repr=False, default=None)
-    space_at_p1: np.ndarray = field(repr=False, default=None)
     time_at_p1: np.ndarray = field(repr=False, default=None)
     _lu_D0rT: tuple = field(repr=False, default=None, compare=False)
 
     def field_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Nodal values (N, M) of a field with coefficient matrix (N, M)."""
+        """Nodal values (..., N, M) of fields with coefficient matrices (..., N, M)."""
         return self.D0r.T @ coeffs @ self.D0t
 
     def eval_field(self, coeffs: np.ndarray, rho, t) -> np.ndarray:
@@ -232,7 +231,6 @@ def build_setup(N: int, M: int) -> CollocationSetup:
         D0t=D0t,
         D1t=D1t,
         space_at_m1=space.eval(np.array([-1.0]))[:, 0],
-        space_at_p1=space.eval(np.array([1.0]))[:, 0],
         time_at_p1=time.eval(np.array([1.0]))[:, 0],
         _lu_D0rT=lu_factor(D0r.T),
     )

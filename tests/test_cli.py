@@ -18,7 +18,6 @@ class TestConfig:
     def test_defaults_without_file(self):
         cfg = cli.load_config()
         assert cfg.grid["N"] == 8 and cfg.grid["M"] == 8
-        assert cfg.run["method"] == "both"
         assert cfg.params == ModelParameters()
 
     def test_file_and_override_precedence(self, tmp_path):
@@ -46,7 +45,7 @@ class TestConfig:
             cli.load_config(overrides={"N": "abc"})
         with pytest.raises(cli.ConfigError):
             cli.load_config(overrides={"N": "0"})
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(cli.ConfigError, match="unknown configuration key"):
             cli.load_config(overrides={"method": "magic"})
         with pytest.raises(cli.ConfigError):
             cli.load_config(overrides={"eps": "-0.5"})

@@ -66,6 +66,16 @@ class TestOperator:
         assert np.allclose(A_L, base - 3.0 * kron2)
         assert np.allclose(A_F, base - 7.0 * kron2)
 
+    def test_L_and_H_share_one_operator(self):
+        rng = np.random.default_rng(11)
+        for N, M in [(2, 3), (5, 4), (8, 8)]:
+            s = build_setup(N, M)
+            grids = tuple(rng.normal(size=(N, M)) for _ in range(5)) + (
+                rng.uniform(1.0, 5.0, M), rng.uniform(1.0, 5.0, M))
+            A_L = direct.assemble_operator("L", grids, s, P)
+            A_H = direct.assemble_operator("H", grids, s, P)
+            assert np.array_equal(A_L, A_H)
+
     def test_unknown_kind_rejected(self):
         s = build_setup(2, 2)
         zero = np.zeros((2, 2))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plaquectrl import indirect
+from plaquectrl import indirect, model
 from plaquectrl.params import ModelParameters
 from plaquectrl.spectral import build_setup
 
@@ -80,6 +80,15 @@ class TestOdeRhs:
         # the control multiplies the monocyte recruitment source
         assert np.max(np.abs(d0 - d1)) > 0.0
         assert np.allclose(d0[12:26], d1[12:26])
+
+
+class TestSwitchingCheck:
+    def test_occluded_state_raises(self):
+        s = build_setup(4, 4)
+        y = np.zeros(6 * 4 + 2)
+        y[6 * 4] = 1.0 - P.eps
+        with pytest.raises(model.OcclusionError):
+            indirect._xi_at_inner(y, s, P)
 
 
 class TestShootingResidual:

@@ -186,6 +186,17 @@ class TestSwitchingXi:
         assert np.isclose(out, F * P.H0 / (P.K2 + F), rtol=1e-12)
         assert out > 0.0
 
+    def test_velocity_free_at_inner_edge(self):
+        # the P_F exponent carries (1 + rho), which vanishes at rho = -1
+        fields = {"F": 0.2, "H": 0.1}
+        adjoints = {"P_H": 0.7, "P_F": -1.3}
+        ref = model.switching_xi(-1.0, 0.0, fields, adjoints, 0.1, P)
+        assert ref != 0.0
+        for v in (0.0, 1e-8, -0.5, 3.0, 1e6, -1e12):
+            out = model.switching_xi(-1.0, 0.0, {**fields, "v": v}, adjoints,
+                                     0.1, P)
+            assert out == ref
+
 
 class TestVelocitySolve:
     def setup_method(self):
@@ -240,3 +251,25 @@ class TestVelocitySolve:
         with pytest.raises(OcclusionError):
             model.velocity_solve(1.0 - P.eps, 0.0, {"L": z, "H": z, "F": z},
                                  P, self.setup)
+        z = np.zeros((8, 3))  # one occluded time column among several
+        with pytest.raises(OcclusionError):
+            model.velocity_solve(np.array([0.0, 1.0 - P.eps, 0.1]), np.zeros(3),
+                                 {"L": z, "H": z, "F": z}, P, self.setup)
+
+    def test_time_columns_match_single_solves(self):
+        rng = np.random.default_rng(3)
+        M = 6
+        R = rng.uniform(0.0, 0.3, M)
+        t = np.linspace(-0.9, 1.0, M)
+        fields = {k: rng.uniform(0.0, 2e-3, (8, M)) for k in "LHF"}
+        v, vi, dvi, dv = model.velocity_solve(R, t, fields, P, self.setup,
+                                              return_slope=True)
+        assert v.shape == dv.shape == (8, M) and vi.shape == dvi.shape == (M,)
+        for l in range(M):
+            col = {k: f[:, l] for k, f in fields.items()}
+            v1, vi1, dvi1, dv1 = model.velocity_solve(
+                R[l], t[l], col, P, self.setup, return_slope=True)
+            for batched, single in ((v[:, l], v1), (vi[l], vi1),
+                                    (dvi[l], dvi1), (dv[:, l], dv1)):
+                assert (np.max(np.abs(batched - single))
+                        <= 1e-14 * np.max(np.abs(single)))
