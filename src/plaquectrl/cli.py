@@ -40,7 +40,8 @@ SOLVER_KEYS = {
 }
 RUN_KEYS = {
     "output_dir": "out",
-    "sweep_pairs": "0.0100:0.0050,0.0120:0.0050,0.0140:0.0050,0.0160:0.0050",
+    "sweep_pairs": ",".join(f"{L0:.4f}:{H0:.4f}"
+                            for L0, H0 in verify.DEFAULT_SWEEP_PAIRS),
     "study_grids": "2x2,4x4,8x8",
 }
 _INT_KEYS = {"N", "M", "Ne", "Me", "fp_max_iter", "sqp_max_iter",

@@ -24,6 +24,14 @@ class NonConvergenceError(RuntimeError):
     """Fixed-point iteration produced a non-finite update or did not converge."""
 
 
+def require_converged(state, what):
+    """Raise :class:`NonConvergenceError` unless fixed point ``state`` converged."""
+    if not state.converged:
+        raise NonConvergenceError(
+            f"{what} fixed-point solve did not converge in {state.iterations} "
+            f"iterations (last update {state.residual_history[-1]:.3e})")
+
+
 class SingularOperatorError(np.linalg.LinAlgError):
     """Collocation operator is singular; carries a condition estimate."""
 
@@ -192,7 +200,7 @@ def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
         nodal = setup.field_values(C)
         Rt = C_R @ setup.D0t
         v_field, v_inner, dv_inner = model.velocity_solve(
-            Rt, setup.t, dict(zip("LHF", nodal)), params, setup)
+            Rt, dict(zip("LHF", nodal)), params, setup)
         if delta < tol:
             converged = True
             break
@@ -205,8 +213,12 @@ def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
 def objective(control: ControlVector, setup: CollocationSetup,
               params: ModelParameters, tol: float = 1e-8,
               max_iter: int = 50) -> float:
-    """Terminal plaque thickness 1 - R(1) - eps for a given control."""
+    """Terminal plaque thickness 1 - R(1) - eps for a given control.
+
+    Raises :class:`NonConvergenceError` if the fixed point does not converge.
+    """
     state = fixed_point_solve(control, setup, params, tol=tol, max_iter=max_iter)
+    require_converged(state, "objective")
     return 1.0 - state.final_radius() - params.eps
 
 

@@ -88,79 +88,51 @@ class AdjointSolution:
         return traj @ self.setup.D0r
 
 
-def _unpack(y, N):
-    aL = y[0:N]
-    aH = y[N:2 * N]
-    aF = y[2 * N:3 * N]
-    bPL = y[3 * N:4 * N]
-    bPH = y[4 * N:5 * N]
-    bPF = y[5 * N:6 * N]
-    R = y[6 * N]
-    PR = y[6 * N + 1]
-    return aL, aH, aF, bPL, bPH, bPF, R, PR
-
-
 def ode_rhs(t, y, setup: CollocationSetup, params: ModelParameters,
             phi: float) -> np.ndarray:
     """Time derivative of the packed state/adjoint collocation system.
 
     Packed layout: [alpha_L | alpha_H | alpha_F | beta_PL | beta_PH |
-    beta_PF | R | P_R].  The spatial mass matrix is applied through the
-    factorization cached on ``setup``; velocity and its adjoint are resolved
-    afresh from the current state.  ``phi`` is the control value in force.
+    beta_PF | R | P_R].  The six coefficient blocks are handled as one
+    (6, N) array; the spatial mass matrix is applied through the
+    factorization cached on ``setup``, and velocity and its adjoint are
+    resolved afresh from the current state.  ``phi`` is the control value in
+    force.
     """
     p = params
     N = setup.N
-    aL, aH, aF, bPL, bPH, bPF, R, PR = _unpack(y, N)
+    R, PR = y[6 * N], y[6 * N + 1]
     if R + p.eps >= 1.0:
         raise model.OcclusionError(f"R + eps >= 1 during integration (R = {R})")
     rho = setup.rho
-    Lg = setup.D0r.T @ aL
-    Hg = setup.D0r.T @ aH
-    Fg = setup.D0r.T @ aF
-    dFg = setup.D1r.T @ aF
-    fields = {"L": Lg, "H": Hg, "F": Fg}
+    blocks = y[:6 * N].reshape(6, N)
+    values, slopes, curvatures = (blocks @ setup.D0r, blocks @ setup.D1r,
+                                  blocks @ setup.D2r)
+    fields = dict(zip("LHF", values[:3]))
     v_nodes, v_inner, dv_inner, dv_nodes = model.velocity_solve(
-        R, t, fields, p, setup, return_slope=True)
+        R, fields, p, setup, return_slope=True)
     fields["v"] = v_nodes
+    adjoints = dict(zip(("P_L", "P_H", "P_F"), values[3:]))
+    adjoints["P_v"] = model.adjoint_velocity_solve(R, fields, values[5],
+                                                   slopes[2], p, setup)
 
-    # State blocks: (2/T) M a' = F_S + G1 (D2' a) - G2 (D1' a).
     g11 = model.coeff("g11", 0.0, R, 0.0, 0.0, p)
     g31 = model.coeff("g31", 0.0, R, 0.0, 0.0, p)
     g12 = model.coeff("g12", rho, R, v_inner, v_nodes, p)
     g32 = model.coeff("g32", rho, R, v_inner, v_nodes, p)
+    g42 = model.coeff("g42", rho, R, v_inner, v_nodes, p)
+    g62 = model.coeff("g62", rho, R, v_inner, v_nodes, p, F=values[2],
+                      dv_drho=dv_nodes, dfv_dF=model.fv_dF(rho, R, fields, p))
+    # States:   (2/T) M a' = F_S + G1 (D2' a) - G2 (D1' a);
+    # adjoints: (2/T) M b' = F_C - G1 (D2' b) - G2adj (D1' b).
+    G1 = np.array([g11, g11, g31, -g11, -g11, -g31])[:, None]
+    G2 = np.stack([g12, g12, g32, g42, g42, g62])
+    sources = np.concatenate([model.rhs(rho, R, v_inner, fields, phi, p),
+                              model.adjoint_rhs(rho, R, fields, adjoints, phi, p)])
     half_T = p.T / 2.0
     dy = np.empty_like(y)
-
-    def state_block(kind, a, g1, g2):
-        f = model.rhs(kind, rho, t, R, v_inner, fields, phi, p)
-        rhs_vec = f + g1 * (setup.D2r.T @ a) - g2 * (setup.D1r.T @ a)
-        return half_T * setup.solve_space_values(rhs_vec)
-
-    dy[0:N] = state_block("fL", aL, g11, g12)
-    dy[N:2 * N] = state_block("fH", aH, g11, g12)
-    dy[2 * N:3 * N] = state_block("fF", aF, g31, g32)
-
-    # Adjoint blocks: (2/T) M b' = F_C - G1 (D2' b) - G2adj (D1' b).
-    PLg = setup.D0r.T @ bPL
-    PHg = setup.D0r.T @ bPH
-    PFg = setup.D0r.T @ bPF
-    Pv = model.adjoint_velocity_solve(R, t, fields, PFg, dFg, p, setup)
-    adjoints = {"P_L": PLg, "P_H": PHg, "P_F": PFg, "P_v": Pv}
-    g42 = model.coeff("g42", rho, R, v_inner, v_nodes, p)
-    g62 = model.coeff("g62", rho, R, v_inner, v_nodes, p, F=Fg,
-                      dv_drho=dv_nodes,
-                      dfv_dF=model.fv_dF(rho, R, fields, p))
-
-    def adjoint_block(kind, b, g1, g2):
-        f = model.adjoint_rhs(kind, rho, t, R, fields, adjoints, phi, p)
-        rhs_vec = f - g1 * (setup.D2r.T @ b) - g2 * (setup.D1r.T @ b)
-        return half_T * setup.solve_space_values(rhs_vec)
-
-    dy[3 * N:4 * N] = adjoint_block("fPL", bPL, g11, g42)
-    dy[4 * N:5 * N] = adjoint_block("fPH", bPH, g11, g42)
-    dy[5 * N:6 * N] = adjoint_block("fPF", bPF, g31, g62)
-
+    dy[:6 * N] = half_T * setup.solve_space_values(
+        (sources + G1 * curvatures - G2 * slopes).T).T.ravel()
     dy[6 * N] = half_T * v_inner
     dy[6 * N + 1] = -half_T * (2.0 / (1.0 - R)) * dv_inner * PR
     return dy
@@ -211,13 +183,12 @@ def _xi_at_inner(y, setup, params):
     switching function does not depend on the velocity.
     """
     N = setup.N
-    aL, aH, aF, bPL, bPH, bPF, R, PR = _unpack(y, N)
+    R = y[6 * N]
     if R + params.eps >= 1.0:
         raise model.OcclusionError(f"R + eps >= 1 at the switching check (R = {R})")
-    e = setup.space_at_m1
-    fields = {"H": float(e @ aH), "F": float(e @ aF)}
-    adjoints = {"P_H": float(e @ bPH), "P_F": float(e @ bPF)}
-    return float(model.switching_xi(-1.0, 0.0, fields, adjoints, R, params))
+    H, F, PH, PF = (y[k * N:(k + 1) * N] @ setup.space_at_m1 for k in (1, 2, 4, 5))
+    return float(model.switching_xi(-1.0, {"H": H, "F": F},
+                                    {"P_H": PH, "P_F": PF}, R, params))
 
 
 def _integrate_with_control(y0, setup, params, n_steps, store=False):
@@ -266,9 +237,7 @@ def _initial_state(s: ShootingVector, setup: CollocationSetup) -> np.ndarray:
     if s.N != N:
         raise ValueError(f"shooting vector sized for N = {s.N}, setup has N = {N}")
     y0 = np.zeros(6 * N + 2)
-    for blk in range(3):
-        nodal = s.s[blk * N:(blk + 1) * N]
-        y0[(3 + blk) * N:(4 + blk) * N] = setup.solve_space_values(nodal)
+    y0[3 * N:6 * N] = setup.solve_space_values(s.s[:3 * N].reshape(3, N).T).T.ravel()
     y0[6 * N + 1] = s.s[3 * N]
     return y0
 
@@ -288,12 +257,7 @@ def shooting_residual(s: ShootingVector, setup: CollocationSetup,
         yend, *_ = _integrate_with_control(y0, setup, params, n_steps)
     except (IntegrationError, model.OcclusionError):
         return np.full(3 * N + 1, RESIDUAL_SENTINEL)
-    res = np.empty(3 * N + 1)
-    for blk in range(3):
-        beta = yend[(3 + blk) * N:(4 + blk) * N]
-        res[blk * N:(blk + 1) * N] = setup.D0r.T @ beta
-    res[3 * N] = yend[6 * N + 1]
-    return res
+    return np.append(yend[3 * N:6 * N].reshape(3, N) @ setup.D0r, yend[6 * N + 1])
 
 
 def solve_indirect(setup: CollocationSetup, params: ModelParameters,

@@ -30,9 +30,7 @@ def eval_state_grids(rho, Rt, vin, v, L, H, F, phi, p: ModelParameters):
         raise model.OcclusionError("R + eps >= 1 on the time grid")
     col = rho[:, None]
     fields = {"L": L, "H": H, "F": F, "v": v}
-    FL = model.rhs("fL", col, None, Rt, vin, fields, phi, p)
-    FH = model.rhs("fH", col, None, Rt, vin, fields, phi, p)
-    FF = model.rhs("fF", col, None, Rt, vin, fields, phi, p)
+    FL, FH, FF = model.rhs(col, Rt, vin, fields, phi, p)
     G12 = model.coeff("g12", col, Rt, vin, v, p)
     G32 = model.coeff("g32", col, Rt, vin, v, p)
     G11 = np.asarray(model.coeff("g11", 0.0, Rt, 0.0, 0.0, p), dtype=float)

@@ -53,14 +53,6 @@ class ErrorReport:
     message: str = ""
 
 
-def _require_converged(state, what):
-    """Raise :class:`direct.NonConvergenceError` unless ``state`` converged."""
-    if not state.converged:
-        raise direct.NonConvergenceError(
-            f"{what} fixed-point solve did not converge in {state.iterations} "
-            f"iterations (last update {state.residual_history[-1]:.3e})")
-
-
 def _field_evaluator(state, which):
     C = {"L": state.C_L, "H": state.C_H, "F": state.C_F}[which]
 
@@ -95,12 +87,12 @@ def convergence_study(params: ModelParameters, grid_list,
         row = ErrorReport(N=N, M=M, Ne=Ne, Me=Me)
         t0 = time.perf_counter()
         try:
-            _require_converged(ref_state, f"reference {Ne}x{Me}")
+            direct.require_converged(ref_state, f"reference {Ne}x{Me}")
             setup = build_setup(N, M)
             cv = direct.ControlVector(np.resize(segs, M), params.Kbound)
             state = direct.fixed_point_solve(cv, setup, params,
                                              tol=fp_tol, max_iter=fp_max_iter)
-            _require_converged(state, f"{N}x{M}")
+            direct.require_converged(state, f"{N}x{M}")
             for which in ("L", "H", "F"):
                 ce = _field_evaluator(state, which)
                 re = _field_evaluator(ref_state, which)
@@ -190,8 +182,9 @@ def control_effect_sweep(pairs, params: ModelParameters, setup,
     For every pair the direct problem is solved once with the zero control
     and once with the SQP-optimized control; both trajectories are returned
     in original coordinates (physical radius = R + eps) on a uniform time
-    grid.  Failures are isolated per pair; a pair whose uncontrolled or final
-    controlled fixed-point solve did not converge is marked failed.
+    grid.  Failures are isolated per pair; a pair with a fixed-point solve
+    that did not converge (uncontrolled, inside the optimization, or final
+    controlled) is marked failed.
     ``sqp_converged`` records whether the optimizer met its own tolerance.
     """
     t_grid = np.linspace(-1.0, 1.0, 101)
@@ -204,10 +197,10 @@ def control_effect_sweep(pairs, params: ModelParameters, setup,
             zero = direct.ControlVector(np.zeros(setup.M), p.Kbound)
             st0 = direct.fixed_point_solve(zero, setup, p, tol=fp_tol,
                                            max_iter=fp_max_iter)
-            _require_converged(st0, "uncontrolled")
+            direct.require_converged(st0, "uncontrolled")
             best, st1, val, res = direct.solve_direct(
                 setup, p, nlp_options, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
-            _require_converged(st1, "controlled")
+            direct.require_converged(st1, "controlled")
             row["R_uncontrolled"] = st0.radius(t_grid) + p.eps
             row["R_controlled"] = st1.radius(t_grid) + p.eps
             row["control"] = best.segments.copy()

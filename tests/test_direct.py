@@ -100,6 +100,13 @@ class TestFixedPoint:
         val = direct.objective(_zero_control(6), s, P.decoupled())
         assert abs(val - (1.0 - P.eps)) < 1e-12
 
+    def test_unconverged_objective_raises(self):
+        # five iterations stop short: J would read 0.95673 against 0.95945
+        with pytest.raises(direct.NonConvergenceError,
+                           match="objective fixed-point solve did not converge "
+                                 "in 5 iterations"):
+            direct.objective(_zero_control(8), build_setup(8, 8), P, max_iter=5)
+
     def test_generic_run_converges(self):
         s = build_setup(8, 8)
         state = direct.fixed_point_solve(_zero_control(8), s, P,

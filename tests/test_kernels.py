@@ -33,11 +33,11 @@ class TestBackends:
                 fields = {"L": L[i, l], "H": H[i, l], "F": F[i, l], "v": v[i, l]}
                 assert np.isclose(
                     FL[i, l],
-                    model.rhs("fL", rho[i], 0.0, Rt[l], vin[l], fields, phi[l], P),
+                    model.rhs(rho[i], Rt[l], vin[l], fields, phi[l], P)[0],
                     rtol=1e-12)
                 assert np.isclose(
                     FF[i, l],
-                    model.rhs("fF", rho[i], 0.0, Rt[l], vin[l], fields, phi[l], P),
+                    model.rhs(rho[i], Rt[l], vin[l], fields, phi[l], P)[2],
                     rtol=1e-12)
                 assert np.isclose(
                     G32[i, l],
