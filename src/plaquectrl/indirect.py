@@ -116,13 +116,13 @@ def ode_rhs(t, y, setup: CollocationSetup, params: ModelParameters,
     adjoints["P_v"] = model.adjoint_velocity_solve(R, fields, values[5],
                                                    slopes[2], p, setup)
 
-    g11 = model.coeff("g11", 0.0, R, 0.0, 0.0, p)
-    g31 = model.coeff("g31", 0.0, R, 0.0, 0.0, p)
-    g12 = model.coeff("g12", rho, R, v_inner, v_nodes, p)
-    g32 = model.coeff("g32", rho, R, v_inner, v_nodes, p)
-    g42 = model.coeff("g42", rho, R, v_inner, v_nodes, p)
-    g62 = model.coeff("g62", rho, R, v_inner, v_nodes, p, F=values[2],
-                      dv_drho=dv_nodes, dfv_dF=model.fv_dF(rho, R, fields, p))
+    g11 = model._coeff("g11", 0.0, R, 0.0, 0.0, p)
+    g31 = model._coeff("g31", 0.0, R, 0.0, 0.0, p)
+    g12 = model._coeff("g12", rho, R, v_inner, v_nodes, p)
+    g32 = model._coeff("g32", rho, R, v_inner, v_nodes, p)
+    g42 = model._coeff("g42", rho, R, v_inner, v_nodes, p)
+    g62 = model._coeff("g62", rho, R, v_inner, v_nodes, p, F=values[2],
+                       dv_drho=dv_nodes, dfv_dF=model.fv_dF(rho, R, fields, p))
     # States:   (2/T) M a' = F_S + G1 (D2' a) - G2 (D1' a);
     # adjoints: (2/T) M b' = F_C - G1 (D2' b) - G2adj (D1' b).
     G1 = np.array([g11, g11, g31, -g11, -g11, -g31])[:, None]

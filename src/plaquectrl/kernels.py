@@ -31,8 +31,8 @@ def eval_state_grids(rho, Rt, vin, v, L, H, F, phi, p: ModelParameters):
     col = rho[:, None]
     fields = {"L": L, "H": H, "F": F, "v": v}
     FL, FH, FF = model.rhs(col, Rt, vin, fields, phi, p)
-    G12 = model.coeff("g12", col, Rt, vin, v, p)
-    G32 = model.coeff("g32", col, Rt, vin, v, p)
-    G11 = np.asarray(model.coeff("g11", 0.0, Rt, 0.0, 0.0, p), dtype=float)
-    G31 = np.asarray(model.coeff("g31", 0.0, Rt, 0.0, 0.0, p), dtype=float)
+    G12 = model._coeff("g12", col, Rt, vin, v, p)
+    G32 = model._coeff("g32", col, Rt, vin, v, p)
+    G11 = np.asarray(model._coeff("g11", 0.0, Rt, 0.0, 0.0, p), dtype=float)
+    G31 = np.asarray(model._coeff("g31", 0.0, Rt, 0.0, 0.0, p), dtype=float)
     return FL, FH, FF, G12, G32, G11, G31

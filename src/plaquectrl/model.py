@@ -99,9 +99,16 @@ def coeff(kind, rho, R, v_inner, v_local, params: ModelParameters, *,
     velocity at rho = -1, ``v_local`` the velocity at the evaluation point.
     g62 additionally needs the local foam-cell value ``F``, the velocity
     slope ``dv_drho`` and the derivative of the velocity source with respect
-    to F, ``dfv_dF``.
+    to F, ``dfv_dF``.  Raises :class:`OcclusionError` if R + eps >= 1.
     """
     _check_occlusion(R, params)
+    return _coeff(kind, rho, R, v_inner, v_local, params, F=F, dv_drho=dv_drho,
+                  dfv_dF=dfv_dF)
+
+
+def _coeff(kind, rho, R, v_inner, v_local, params, *, F=None, dv_drho=None,
+           dfv_dF=None):
+    """:func:`coeff` for callers that have already checked R for occlusion."""
     p = params
     Rb = R + p.eps
     om = 1.0 - Rb

@@ -1,14 +1,17 @@
 """Fixed-point collocation solver and direct optimization."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from plaquectrl import direct, kernels
+from plaquectrl import cli, direct, kernels, verify
 from plaquectrl.nlp import NlpOptions
 from plaquectrl.params import ModelParameters
 from plaquectrl.spectral import build_setup
 
 P = ModelParameters()
+P_SLOW = ModelParameters(mu1=0.06, mu2=0.015)  # the slowest contraction measured
 
 
 def _zero_control(M, Kbound=P.Kbound):
@@ -75,6 +78,21 @@ class TestOperator:
             A_L = direct.assemble_operator("L", grids, s, P)
             A_H = direct.assemble_operator("H", grids, s, P)
             assert np.array_equal(A_L, A_H)
+
+    def test_matches_kronecker_formula(self):
+        rng = np.random.default_rng(5)
+        for N, M in [(3, 5), (8, 8)]:
+            s = build_setup(N, M)
+            g1, g3 = rng.uniform(1.0, 5.0, M), rng.uniform(1.0, 5.0, M)
+            G2, G32 = rng.normal(size=(N, M)), rng.normal(size=(N, M))
+            grids = (None, None, None, G2, G32, g1, g3)
+            for kind, g, G in (("L", g1, G2), ("F", g3, G32)):
+                expected = ((2.0 / P.T) * np.kron(s.D0r.T, s.D1t.T)
+                            - np.repeat(np.tile(g, N), N * M).reshape(N * M, -1)
+                            * np.kron(s.D2r.T, s.D0t.T)
+                            + G.reshape(-1, 1) * np.kron(s.D1r.T, s.D0t.T))
+                A = direct.assemble_operator(kind, grids, s, P)
+                assert np.max(np.abs(A - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_unknown_kind_rejected(self):
         s = build_setup(2, 2)
@@ -191,3 +209,103 @@ class TestSolveDirect:
             s, P.decoupled(), nlp_options=NlpOptions(max_iter=5))
         assert abs(value - (1.0 - P.eps)) < 1e-12
         assert state.converged
+
+
+def _grids_after(control, setup, params, steps):
+    """Coefficient and source grids of the fixed-point pass after ``steps`` passes."""
+    st = direct.fixed_point_solve(control, setup, params, max_iter=steps)
+    nodal = setup.field_values(np.stack([st.C_L, st.C_H, st.C_F]))
+    return kernels.eval_state_grids(setup.rho, st.radius_nodes(), st.v_inner,
+                                    st.v_field, *nodal,
+                                    control.values_at(setup.t), params)
+
+
+def _refined_solve(A, B):
+    """np.linalg.solve, refined twice with residuals in extended precision."""
+    X = np.linalg.solve(A, B)
+    for _ in range(2):
+        R = B.astype(np.longdouble) - A.astype(np.longdouble) @ X.astype(np.longdouble)
+        X = X + np.linalg.solve(A, R.astype(float))
+    return X
+
+
+def _systems(grids, setup, params):
+    """(kind, operator, sources, matrix-free solution) for the L/H and F systems."""
+    for kind, sources in (("L", np.stack(grids[:2])), ("F", grids[2][None])):
+        A = direct.assemble_operator(kind, grids, setup, params)
+        free = direct._solve_matrix_free(kind, grids, setup, params, sources)
+        k = len(sources)
+        yield kind, A, sources.reshape(k, -1).T, free.reshape(k, -1).T
+
+
+def _rel_err(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+class TestMatrixFree:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("params", [P, P_SLOW], ids=["default", "mu1=0.06"])
+    def test_matches_dense_solve_at_converged_state(self, n, params):
+        s = build_setup(n, n)
+        grids = _grids_after(_zero_control(n), s, params, direct.FP_MAX_ITER)
+        for kind, A, B, free in _systems(grids, s, params):
+            assert _rel_err(free, np.linalg.solve(A, B)) <= 1e-12, kind
+
+    def test_transient_operator_as_accurate_as_a_stable_solve(self):
+        # The pass after two steps at mu1=0.06 needs the most GMRES
+        # iterations.  Its L/H operator has cond 1.4e5, and np.linalg.solve
+        # is itself 3.6e-11 from the refined solution there, so both are
+        # held to what a backward-stable solve guarantees, cond(A) * eps.
+        s = build_setup(32, 32)
+        grids = _grids_after(_zero_control(32), s, P_SLOW, 2)
+        for kind, A, B, free in _systems(grids, s, P_SLOW):
+            bound = np.linalg.cond(A) * np.finfo(float).eps
+            assert _rel_err(free, _refined_solve(A, B)) <= bound, kind
+
+    def test_both_sides_of_the_cutoff_agree(self, monkeypatch):
+        s = build_setup(16, 16)
+        runs = []
+        for cutoff in (s.N * s.M, s.N * s.M - 1):  # dense, then matrix-free
+            monkeypatch.setattr(direct, "DENSE_MAX_UNKNOWNS", cutoff)
+            runs.append(direct.fixed_point_solve(_zero_control(16), s, P))
+        dense, free = runs
+        assert dense.converged and free.converged
+        assert dense.iterations == free.iterations
+        assert abs(dense.final_radius() - free.final_radius()) <= 1e-12
+
+    def test_unconverged_gmres_raises(self, monkeypatch):
+        s = build_setup(32, 32)
+        grids = _grids_after(_zero_control(32), s, P_SLOW, 2)
+        monkeypatch.setattr(direct, "GMRES_MAX_ITER", 5)
+        with pytest.raises(direct.NonConvergenceError,
+                           match="GMRES on the L collocation system stopped"):
+            direct._solve_matrix_free("L", grids, s, P_SLOW, np.stack(grids[:2]))
+
+    def test_non_finite_source_raises(self):
+        s = build_setup(16, 16)
+        grids = _grids_after(_zero_control(16), s, P, 2)
+        sources = np.stack(grids[:2]).copy()
+        sources[1, 3, 4] = np.nan
+        with pytest.raises(direct.NonConvergenceError, match="residual nan"):
+            direct._solve_matrix_free("L", grids, s, P, sources)
+
+
+class TestIterationCap:
+    def test_one_default_everywhere(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        defaults = [default(direct.fixed_point_solve, "max_iter"),
+                    default(direct.objective, "max_iter"),
+                    default(direct.solve_direct, "fp_max_iter"),
+                    default(verify.convergence_study, "fp_max_iter"),
+                    default(verify.control_effect_sweep, "fp_max_iter"),
+                    cli.SOLVER_KEYS["fp_max_iter"]]
+        assert defaults == [direct.FP_MAX_ITER] * len(defaults)
+
+    def test_slow_contraction_converges_with_library_defaults(self):
+        # 51 passes are needed here; a cap of 50 raised on the first oracle call
+        control, state, value, result = direct.solve_direct(
+            build_setup(8, 8), P_SLOW, nlp_options=NlpOptions(max_iter=0))
+        assert state.converged
+        assert np.isfinite(value)
