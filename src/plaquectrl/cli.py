@@ -34,7 +34,7 @@ from .spectral import build_setup
 PARAM_KEYS = [f.name for f in dataclasses.fields(ModelParameters)]
 GRID_KEYS = {"N": 8, "M": 8, "Ne": 16, "Me": 16}
 SOLVER_KEYS = {
-    "fp_tol": 1e-8, "fp_max_iter": direct.FP_MAX_ITER,
+    "fp_tol": direct.FP_TOL, "fp_max_iter": direct.FP_MAX_ITER,
     "sqp_tol": 1e-6, "sqp_max_iter": 100, "grad_step": 1e-5,
     "shoot_tol": 1e-8, "shoot_max_iter": 50, "rk4_steps": 400,
 }

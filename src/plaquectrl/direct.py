@@ -7,11 +7,14 @@ one solve, and advances the free boundary by a collocated ODE in time.  The
 scalar objective 1 - R(1) - eps over piecewise-constant controls is then
 handed to the SQP driver in :mod:`plaquectrl.nlp`.
 
-A system with at most ``DENSE_MAX_UNKNOWNS`` unknowns N*M is assembled
-(:func:`assemble_operator`) and solved by dense LU.  A larger one is never
-formed: GMRES applies it through products with the N x N and M x M
-differentiation matrices and is preconditioned by a Sylvester equation
-solved by Bartels-Stewart (:func:`_solve_matrix_free`).  The cut-off sits
+The collocation operator is written once, as a map on batches of
+coefficient matrices (:func:`_apply_operator`), using only matrices that
+:func:`~plaquectrl.spectral.build_setup` built for the grid.  A system with
+at most ``DENSE_MAX_UNKNOWNS`` unknowns N*M is assembled by applying that
+map to the identity (:func:`assemble_operator`) and solved by dense LU.  A
+larger one is never formed: GMRES applies the map and is preconditioned by
+a Sylvester equation solved by Bartels-Stewart
+(:func:`_solve_matrix_free`).  The cut-off sits
 where the dense solve stops winning.  Whole fixed-point solves (default
 parameters, zero control, 2-vCPU VM, OpenBLAS threads at their default)
 take, dense against GMRES: 0.021 s against 0.112 s at 9 x 9 (81 unknowns),
@@ -23,7 +26,6 @@ to 1e-15.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -35,8 +37,10 @@ from .nlp import NlpOptions, NlpProblem, sqp_minimize
 from .params import ModelParameters
 from .spectral import CollocationSetup
 
-# Default fixed-point iteration cap of the library, the studies and the CLI.
-# The slowest contraction measured (mu1 = 0.06, ratio 0.748) needs 51.
+# Default fixed-point tolerance and iteration cap of the library, the studies
+# and the CLI.  The slowest contraction measured (mu1 = 0.06, ratio 0.748)
+# needs 51 iterations.
+FP_TOL = 1e-8
 FP_MAX_ITER = 400
 
 # Largest N*M solved by dense LU; the module docstring gives the measurements.
@@ -151,23 +155,31 @@ def _coefficients(kind, grids):
     raise ValueError(f"unknown field kind {kind!r}")
 
 
+def _apply_operator(kind, grids, setup, params, C):
+    """The collocation operator of field ``kind`` on a batch C (..., N, M).
+
+    With c = 2/T it maps C to c D0r' C D1t + G2 o (D1r' C D0t) - (D2r' C D0t) diag(g1).
+    """
+    g1, G2 = _coefficients(kind, grids)
+    CD = C @ setup.D0t
+    return ((2.0 / params.T) * setup.D0r.T @ C @ setup.D1t
+            + G2 * (setup.D1r.T @ CD) - (setup.D2r.T @ CD) * g1)
+
+
 def assemble_operator(kind: str, grids, setup: CollocationSetup,
                       params: ModelParameters) -> np.ndarray:
     """Square (N*M) collocation operator for field L, H or F.
 
     ``grids`` is the tuple returned by :func:`kernels.eval_state_grids` at
     the frozen iterate.  Rows/columns are flattened row-major over
-    (space index, time index).  With c = 2/T the entries are
-    A[i,j,k,l] = c D0r[k,i] D1t[l,j] + (G2[i,j] D1r[k,i] - g1[j] D2r[k,i]) D0t[l,j],
-    i.e. c (D0r' x D1t') - g1 . (D2r' x D0t') + G2 . (D1r' x D0t'), built
-    as two broadcast products without forming the Kronecker blocks.
+    (space index, time index).  With c = 2/T this is
+    c (D0r' x D1t') - g1 . (D2r' x D0t') + G2 . (D1r' x D0t'); column k is
+    the operator applied to the k-th unit coefficient matrix, and all
+    columns come from one batched application to the identity.
     """
-    g1, G2 = _coefficients(kind, grids)
-    D0r, D1r, D2r = setup.D0r.T[:, None], setup.D1r.T[:, None], setup.D2r.T[:, None]
-    D0t, D1t = setup.D0t.T[:, None, :], setup.D1t.T[:, None, :]
-    A = (2.0 / params.T) * D0r[..., None] * D1t
-    A += (G2[..., None] * D1r - g1[:, None] * D2r)[..., None] * D0t
-    return A.reshape(setup.N * setup.M, -1)
+    n = setup.N * setup.M
+    unit = np.eye(n).reshape(n, setup.N, setup.M)
+    return _apply_operator(kind, grids, setup, params, unit).reshape(n, n).T
 
 
 def _solve_fields(kind, grids, setup, params, sources):
@@ -188,52 +200,33 @@ def _solve_fields(kind, grids, setup, params, sources):
     return sol.T.reshape(sources.shape)
 
 
-_FACTORS: "weakref.WeakKeyDictionary[CollocationSetup, tuple]" = (
-    weakref.WeakKeyDictionary())
-
-
-def _factors(setup: CollocationSetup) -> tuple:
-    """Per-setup (K, D0t^-1, D0r'^-1) with K = D0t^-1 D1t, for the matrix-free solve."""
-    cached = _FACTORS.get(setup)
-    if cached is None:
-        D0t_inv = np.linalg.inv(setup.D0t)
-        cached = (D0t_inv @ setup.D1t, D0t_inv, np.linalg.inv(setup.D0r.T))
-        _FACTORS[setup] = cached
-    return cached
-
-
 def _solve_matrix_free(kind, grids, setup, params, sources):
     """:func:`_solve_fields` by preconditioned GMRES, never forming the operator.
 
-    With c = 2/T the operator maps C to
-    c D0r' C D1t + G2 o (D1r' C D0t) - (D2r' C D0t) diag(g1).  In W = C D0t,
-    with K = D0t^-1 D1t, scaling its time columns by d = 1/g1 and replacing
+    GMRES applies :func:`_apply_operator`.  In W = C D0t, with
+    K = D0t^-1 D1t, scaling its time columns by d = 1/g1 and replacing
     G2 diag(d) by its time mean a(rho) leaves the Sylvester equation
     P W + W B = (c D0r')^-1 R diag(d), P = (c D0r')^-1 (diag(a) D1r' - D2r'),
     B = K diag(d).  Bartels-Stewart on real Schur factors of P and B,
     computed once per operator, solves it (LAPACK dtrsyl); that solve is the
-    preconditioner.
+    preconditioner.  D0r'^-1, D0t^-1 and K come from the setup.
     """
     g1, G2 = _coefficients(kind, grids)
     N, M = setup.N, setup.M
     c = 2.0 / params.T
-    K, D0t_inv, D0rT_inv = _factors(setup)
     d = 1.0 / g1
     a = np.mean(G2 * d, axis=1)
-    S, U = schur(D0rT_inv @ (a[:, None] * setup.D1r.T - setup.D2r.T) / c)
-    Tb, V = schur(K * d)
-    to_schur, from_schur = U.T @ D0rT_inv / c, d[:, None] * V
-    to_coeffs = V.T @ D0t_inv
+    S, U = schur(setup.D0rT_inv @ (a[:, None] * setup.D1r.T - setup.D2r.T) / c)
+    Tb, V = schur(setup.K * d)
+    to_schur, from_schur = U.T @ setup.D0rT_inv / c, d[:, None] * V
+    to_coeffs = V.T @ setup.D0t_inv
 
     def precondition(r):
         Y, scale, _ = dtrsyl(S, Tb, to_schur @ r.reshape(N, M) @ from_schur)
         return (U @ Y @ to_coeffs).ravel() / scale
 
     def apply(x):
-        C = x.reshape(N, M)
-        CD = C @ setup.D0t
-        return (c * setup.D0r.T @ C @ setup.D1t + G2 * (setup.D1r.T @ CD)
-                - (setup.D2r.T @ CD) * g1).ravel()
+        return _apply_operator(kind, grids, setup, params, x.reshape(N, M)).ravel()
 
     return np.stack([_gmres(apply, precondition, b.ravel(), kind).reshape(N, M)
                      for b in sources])
@@ -289,7 +282,7 @@ def _gmres(apply, precondition, b, kind):
 
 
 def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
-                      params: ModelParameters, tol: float = 1e-8,
+                      params: ModelParameters, tol: float = FP_TOL,
                       max_iter: int = FP_MAX_ITER) -> StateSolution:
     """Iterate the linearized collocation systems to a fixed point.
 
@@ -351,7 +344,7 @@ def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
 
 
 def objective(control: ControlVector, setup: CollocationSetup,
-              params: ModelParameters, tol: float = 1e-8,
+              params: ModelParameters, tol: float = FP_TOL,
               max_iter: int = FP_MAX_ITER) -> float:
     """Terminal plaque thickness 1 - R(1) - eps for a given control.
 
@@ -364,7 +357,7 @@ def objective(control: ControlVector, setup: CollocationSetup,
 
 def solve_direct(setup: CollocationSetup, params: ModelParameters,
                  nlp_options: NlpOptions | None = None,
-                 fp_tol: float = 1e-8, fp_max_iter: int = FP_MAX_ITER):
+                 fp_tol: float = FP_TOL, fp_max_iter: int = FP_MAX_ITER):
     """Minimize the terminal thickness over the control box [0, Kbound]^M.
 
     Returns ``(control, state, value, result)`` where ``result`` is the full

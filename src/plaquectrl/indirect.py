@@ -94,16 +94,15 @@ def ode_rhs(t, y, setup: CollocationSetup, params: ModelParameters,
 
     Packed layout: [alpha_L | alpha_H | alpha_F | beta_PL | beta_PH |
     beta_PF | R | P_R].  The six coefficient blocks are handled as one
-    (6, N) array; the spatial mass matrix is applied through the
-    factorization cached on ``setup``, and velocity and its adjoint are
-    resolved afresh from the current state.  ``phi`` is the control value in
-    force.
+    (6, N) array; the spatial mass matrix is inverted by
+    ``setup.solve_space_values``, and velocity and its adjoint are
+    resolved afresh from the current state (``model.velocity_solve`` raises
+    :class:`~plaquectrl.model.OcclusionError` if R + eps >= 1).  ``phi`` is
+    the control value in force.
     """
     p = params
     N = setup.N
     R, PR = y[6 * N], y[6 * N + 1]
-    if R + p.eps >= 1.0:
-        raise model.OcclusionError(f"R + eps >= 1 during integration (R = {R})")
     rho = setup.rho
     blocks = y[:6 * N].reshape(6, N)
     values, slopes, curvatures = (blocks @ setup.D0r, blocks @ setup.D1r,
@@ -184,8 +183,7 @@ def _xi_at_inner(y, setup, params):
     """
     N = setup.N
     R = y[6 * N]
-    if R + params.eps >= 1.0:
-        raise model.OcclusionError(f"R + eps >= 1 at the switching check (R = {R})")
+    model._check_occlusion(R, params)
     H, F, PH, PF = (y[k * N:(k + 1) * N] @ setup.space_at_m1 for k in (1, 2, 4, 5))
     return float(model.switching_xi(-1.0, {"H": H, "F": F},
                                     {"P_H": PH, "P_F": PF}, R, params))

@@ -24,10 +24,9 @@ def eval_state_grids(rho, Rt, vin, v, L, H, F, phi, p: ModelParameters):
 
     Shapes: ``rho (N,)``, ``Rt/vin/phi (M,)``, field grids ``(N, M)``.
     Returns ``(FL, FH, FF, G12, G32, G11, G31)`` with the last two shaped
-    ``(M,)`` (they do not depend on rho).
+    ``(M,)`` (they do not depend on rho).  ``model.rhs`` raises
+    :class:`~plaquectrl.model.OcclusionError` if R + eps >= 1 at a time node.
     """
-    if np.any(Rt + p.eps >= 1.0):
-        raise model.OcclusionError("R + eps >= 1 on the time grid")
     col = rho[:, None]
     fields = {"L": L, "H": H, "F": F, "v": v}
     FL, FH, FF = model.rhs(col, Rt, vin, fields, phi, p)

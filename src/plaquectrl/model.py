@@ -7,18 +7,17 @@ boundary conditions at the inner edge to homogeneous Neumann ones.
 
 All formulas accept scalars or numpy arrays elementwise.  ``R`` throughout
 is the shifted radius (physical inner radius minus ``eps``), so the physical
-radius is ``R + eps``.
+radius is ``R + eps``.  The first-order velocity and P_v solves read their
+collocation matrices from the :class:`~plaquectrl.spectral.CollocationSetup`;
+no per-grid state is kept here.
 """
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .params import ModelParameters
-from .spectral import CollocationSetup, jacobi_eval
+from .spectral import CollocationSetup
 
 DENOM_FLOOR = 1e-12
 
@@ -291,59 +290,29 @@ def switching_xi(rho, fields, adjoints, R, params: ModelParameters):
 
 # --- first-order collocation solves for v and P_v ------------------------
 
-_VCACHE: "weakref.WeakKeyDictionary[CollocationSetup, dict]" = weakref.WeakKeyDictionary()
-
-
-def _vsetup(setup: CollocationSetup) -> dict:
-    """Per-setup factorized collocation matrices for the first-order solves."""
-    cached = _VCACHE.get(setup)
-    if cached is not None:
-        return cached
-    nodes = setup.rho
-    n = len(nodes) + 1  # Legendre expansion degrees 0..N
-    degs = np.arange(n)
-    V0 = np.column_stack([jacobi_eval(m, 0.0, 0.0, nodes, 0) for m in degs])
-    V1 = np.column_stack([jacobi_eval(m, 0.0, 0.0, nodes, 1) for m in degs])
-    at_p1 = np.ones(n)
-    at_m1 = (-1.0) ** degs
-    d_at_m1 = np.array([jacobi_eval(m, 0.0, 0.0, -1.0, 1) for m in degs])
-    A_outer = np.vstack([V1, at_p1])  # value pinned at rho = +1 (velocity)
-    A_inner = np.vstack([V1, at_m1])  # value pinned at rho = -1 (P_v)
-    cached = {
-        "V0": V0,
-        "V1": V1,
-        "at_m1": at_m1,
-        "d_at_m1": d_at_m1,
-        "lu_outer": lu_factor(A_outer),
-        "lu_inner": lu_factor(A_inner),
-    }
-    _VCACHE[setup] = cached
-    return cached
-
-
 def velocity_solve(R, fields, params: ModelParameters, setup: CollocationSetup,
                    return_slope=False):
     """Solve the first-order velocity equation by collocation.
 
     ``fields`` maps "L", "H", "F" to nodal values on ``setup.rho``: shape
     (N,) for a scalar ``R``, or (N, M) for ``R`` of shape (M,), one column
-    per time node, all solved in one call.  Enforces v(rho = 1) = 0 and
-    returns ``(v_nodes, v_inner, dv_inner)`` where the last two are v and
-    dv/drho at rho = -1 (scalars, or shape (M,)); with ``return_slope=True``
-    the nodal slopes dv/drho are appended.
+    per time node, all solved in one call.  v is expanded in Legendre
+    degrees 0..N, and ``setup.pin_p1`` maps the nodal sources to its
+    coefficients with v(rho = 1) = 0.  Returns ``(v_nodes, v_inner,
+    dv_inner)`` where the last two are v and dv/drho at rho = -1 (scalars,
+    or shape (M,)); with ``return_slope=True`` the nodal slopes dv/drho are
+    appended.  A non-finite source raises ``numpy.linalg.LinAlgError``.
     """
     _check_occlusion(R, params)
-    vs = _vsetup(setup)
     rho = setup.rho if np.ndim(R) == 0 else setup.rho[:, None]
-    src = fv(rho, R, fields, params)
-    a = lu_solve(vs["lu_outer"], np.concatenate([src, np.zeros_like(src[:1])]))
+    a = setup.pin_p1 @ fv(rho, R, fields, params)
     if not np.all(np.isfinite(a)):
-        raise np.linalg.LinAlgError("singular velocity collocation system")
-    v_nodes = vs["V0"] @ a
-    v_inner = vs["at_m1"] @ a
-    dv_inner = vs["d_at_m1"] @ a
+        raise np.linalg.LinAlgError("non-finite velocity collocation solution")
+    v_nodes = setup.V0r @ a
+    v_inner = setup.V_at_m1 @ a
+    dv_inner = setup.V1_at_m1 @ a
     if return_slope:
-        return v_nodes, v_inner, dv_inner, vs["V1"] @ a
+        return v_nodes, v_inner, dv_inner, setup.V1r @ a
     return v_nodes, v_inner, dv_inner
 
 
@@ -354,10 +323,10 @@ def adjoint_velocity_solve(R, fields, adjoint_F_nodes, dF_nodes,
     dP_v/drho equals the rho-derivative of the reconstructed physical F
     times the reconstructed physical P_F, with P_v pinned to 0 at rho = -1.
     ``adjoint_F_nodes`` holds transformed P_F nodal values, ``dF_nodes`` the
-    nodal rho-derivatives of transformed F.  Returns P_v at the nodes.
+    nodal rho-derivatives of transformed F.  Returns P_v at the nodes,
+    expanded in Legendre degrees 0..N through ``setup.pin_m1``.
     """
     _check_occlusion(R, params)
-    vs = _vsetup(setup)
     p = params
     rho = setup.rho
     F = fields.get("F", 0.0)
@@ -367,7 +336,4 @@ def adjoint_velocity_solve(R, fields, adjoint_F_nodes, dF_nodes,
     # d/drho of exp(-sf) F  (physical F), sf' = beta*(1-(R+eps))*(1-rho)/4
     dsf = p.beta * (1.0 - (R + p.eps)) * (1.0 - rho) / 4.0
     dFhat = np.exp(-sf) * (dF_nodes - dsf * F)
-    rhs_vec = dFhat * np.exp(-sz) * adjoint_F_nodes
-    b = np.concatenate([rhs_vec, [0.0]])
-    a = lu_solve(vs["lu_inner"], b)
-    return vs["V0"] @ a
+    return setup.V0r @ (setup.pin_m1 @ (dFhat * np.exp(-sz) * adjoint_F_nodes))

@@ -1,18 +1,23 @@
-"""Jacobi/Legendre polynomials, Gauss-type nodes, trial bases, differentiation matrices.
+"""Jacobi/Legendre polynomials, Gauss-type nodes, trial bases and every per-grid matrix.
 
 The spatial trial functions have zero slope at both endpoints (Neumann
 boundary conditions are built in); the temporal trial functions vanish at
-t = -1 (zero initial data is built in).  Collocation uses Legendre-Gauss
-nodes in space and Legendre-Gauss-Radau nodes (right endpoint included) in
-time; both node sets are eigenvalues of a tridiagonal Jacobi matrix.
+t = -1 (zero initial data is built in).  Both are Shen's combinations of
+Legendre polynomials (Shen, SIAM J. Sci. Comput. 15, 1994), so a basis is a
+matrix of Legendre coefficients.  Collocation uses Legendre-Gauss nodes in
+space and Legendre-Gauss-Radau nodes (right endpoint included) in time;
+both node sets are eigenvalues of a tridiagonal Jacobi matrix.
+:func:`build_setup` builds, once per grid, the differentiation matrices,
+the inverses the space-time solves use and the first-order collocation
+matrices of the velocity and P_v solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from numpy.polynomial.legendre import legder, legvander
 
 
 def jacobi_eval(n: int, a: float, b: float, x: float, d: int = 0) -> float:
@@ -110,32 +115,27 @@ def legendre_gauss_radau_nodes(M: int) -> np.ndarray:
     return np.append(_jacobi_zeros(int(M), 1.0, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolynomialBasis:
-    """A family of trial functions expressed in Legendre polynomials.
+    """A family of trial functions as a matrix of Legendre coefficients.
 
-    ``coefficient_table[j]`` is a list of ``(degree, weight)`` pairs such
-    that the j-th basis function (1-indexed in the math, 0-indexed here) is
-    ``sum(weight * J_degree)``.
+    ``coefficients[j, m]`` is the weight of the Legendre polynomial P_m in
+    the j-th basis function (1-indexed in the math, 0-indexed here).
     """
 
-    kind: str  # "space" or "time"
-    degree_count: int
-    coefficient_table: tuple
+    coefficients: np.ndarray  # (basis functions, degrees)
 
     def eval(self, x, d: int = 0) -> np.ndarray:
         """Values (or d-th derivatives) of every basis function at x.
 
-        Returns an array of shape ``(degree_count,) + shape(x)``.
+        Returns an array of shape ``(basis functions,) + shape(x)``.
         """
         xarr = np.asarray(x, dtype=float)
-        out = np.empty((self.degree_count,) + xarr.shape)
-        for j, terms in enumerate(self.coefficient_table):
-            acc = np.zeros_like(xarr)
-            for deg, w in terms:
-                acc += w * jacobi_eval(deg, 0.0, 0.0, xarr, d)
-            out[j] = acc
-        return out
+        if np.any(np.abs(xarr) > 1.0 + 1e-14):
+            raise ValueError("evaluation point outside [-1, 1]")
+        c = legder(self.coefficients, d, axis=1)
+        values = c @ legvander(xarr.ravel(), c.shape[1] - 1).T
+        return values.reshape(c.shape[:1] + xarr.shape)
 
 
 def build_bases(N: int, M: int) -> tuple[PolynomialBasis, PolynomialBasis]:
@@ -146,28 +146,23 @@ def build_bases(N: int, M: int) -> tuple[PolynomialBasis, PolynomialBasis]:
     """
     if N < 1 or M < 1:
         raise ValueError("N and M must be at least 1")
-    space_terms = []
-    for j in range(1, N + 1):
-        c = j * (j - 1) / ((j + 1) * (j + 2))
-        terms = [(j - 1, 1.0)]
-        if c != 0.0:
-            terms.append((j + 1, -c))
-        space_terms.append(tuple(terms))
-    time_terms = [((j - 1, 1.0), (j, 1.0)) for j in range(1, M + 1)]
-    space = PolynomialBasis("space", N, tuple(space_terms))
-    time = PolynomialBasis("time", M, tuple(time_terms))
-    return space, time
+    j = np.arange(1, N + 1)
+    space = np.eye(N, N + 2)
+    space[j - 1, j + 1] = -j * (j - 1) / ((j + 1) * (j + 2))
+    time = np.eye(M, M + 1) + np.eye(M, M + 1, 1)
+    return PolynomialBasis(space), PolynomialBasis(time)
 
 
 @dataclass(frozen=True, eq=False)
 class CollocationSetup:
-    """Nodes, bases and differentiation matrices for one (N, M) grid.
+    """Nodes, bases and every matrix derived from them for one (N, M) grid.
 
     ``N`` spatial trial functions are collocated at ``N`` Legendre-Gauss
     nodes and ``M`` temporal trial functions at ``M`` Legendre-Gauss-Radau
     nodes, so every differentiation matrix is square.  Matrix convention
     follows ``[D^d]_{jk} = p_j^{(d)}(node_k)`` (row = basis function,
-    column = node).
+    column = node).  :func:`build_setup` builds every field once; the
+    solvers of both routes only read them.
     """
 
     N: int
@@ -182,9 +177,22 @@ class CollocationSetup:
     D0t: np.ndarray
     D1t: np.ndarray
     # basis values at the interval endpoints (for boundary synthesis)
-    space_at_m1: np.ndarray = field(repr=False, default=None)
-    time_at_p1: np.ndarray = field(repr=False, default=None)
-    _lu_D0rT: tuple = field(repr=False, default=None, compare=False)
+    space_at_m1: np.ndarray
+    time_at_p1: np.ndarray
+    # inverses for the space-time solves; K = D0t^-1 D1t
+    D0rT_inv: np.ndarray
+    D0t_inv: np.ndarray
+    K: np.ndarray
+    # First-order solves (velocity, P_v) in Legendre degrees 0..N:
+    # V0r[k, m] = P_m(rho_k), V1r[k, m] = P_m'(rho_k), P_m and P_m' at
+    # rho = -1; pin_p1 (pin_m1) maps nodal values of a derivative to the
+    # Legendre coefficients of the function that vanishes at rho = +1 (-1).
+    V0r: np.ndarray
+    V1r: np.ndarray
+    V_at_m1: np.ndarray
+    V1_at_m1: np.ndarray
+    pin_p1: np.ndarray
+    pin_m1: np.ndarray
 
     def field_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal values (..., N, M) of fields with coefficient matrices (..., N, M)."""
@@ -203,35 +211,29 @@ class CollocationSetup:
 
     def solve_space_values(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the space basis interpolating nodal values."""
-        return lu_solve(self._lu_D0rT, values)
+        return self.D0rT_inv @ values
 
 
 def build_setup(N: int, M: int) -> CollocationSetup:
-    """Assemble nodes, bases and all five differentiation matrices."""
+    """Nodes, bases, the five differentiation matrices and every factor the
+    solvers use, built once for the grid."""
     if N < 1 or M < 1:
         raise ValueError("N and M must be at least 1")
     space, time = build_bases(N, M)
     rho = legendre_gauss_nodes(N - 1)
     t = legendre_gauss_radau_nodes(M - 1)
-    D0r = space.eval(rho, 0)
-    D1r = space.eval(rho, 1)
-    D2r = space.eval(rho, 2)
-    D0t = time.eval(t, 0)
-    D1t = time.eval(t, 1)
-    setup = CollocationSetup(
-        N=N,
-        M=M,
-        space_basis=space,
-        time_basis=time,
-        rho=rho,
-        t=t,
-        D0r=D0r,
-        D1r=D1r,
-        D2r=D2r,
-        D0t=D0t,
-        D1t=D1t,
-        space_at_m1=space.eval(np.array([-1.0]))[:, 0],
-        time_at_p1=time.eval(np.array([1.0]))[:, 0],
-        _lu_D0rT=lu_factor(D0r.T),
-    )
-    return setup
+    D0r, D0t, D1t = space.eval(rho, 0), time.eval(t, 0), time.eval(t, 1)
+    D0t_inv = np.linalg.inv(D0t)
+    legendre = PolynomialBasis(np.eye(N + 1))
+    V1r = legendre.eval(rho, 1).T
+    V_at_m1 = legendre.eval(-1.0)
+    # collocate the derivative at the N nodes and pin the value at one end
+    pin_p1 = np.linalg.inv(np.vstack([V1r, np.ones(N + 1)]))[:, :N]
+    pin_m1 = np.linalg.inv(np.vstack([V1r, V_at_m1]))[:, :N]
+    return CollocationSetup(
+        N=N, M=M, space_basis=space, time_basis=time, rho=rho, t=t,
+        D0r=D0r, D1r=space.eval(rho, 1), D2r=space.eval(rho, 2), D0t=D0t, D1t=D1t,
+        space_at_m1=space.eval(-1.0), time_at_p1=time.eval(1.0),
+        D0rT_inv=np.linalg.inv(D0r.T), D0t_inv=D0t_inv, K=D0t_inv @ D1t,
+        V0r=legendre.eval(rho).T, V1r=V1r, V_at_m1=V_at_m1,
+        V1_at_m1=legendre.eval(-1.0, 1), pin_p1=pin_p1, pin_m1=pin_m1)

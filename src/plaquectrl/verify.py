@@ -63,7 +63,7 @@ def _field_evaluator(state, which):
 
 
 def convergence_study(params: ModelParameters, grid_list,
-                      reference_grid=(16, 16), fp_tol=1e-8,
+                      reference_grid=(16, 16), fp_tol=direct.FP_TOL,
                       fp_max_iter=direct.FP_MAX_ITER, control=None):
     """Direct-method self-convergence against a fine reference grid.
 
@@ -176,7 +176,7 @@ def cross_method_diff(direct_state: "direct.StateSolution",
 
 
 def control_effect_sweep(pairs, params: ModelParameters, setup,
-                         fp_tol=1e-8, fp_max_iter=direct.FP_MAX_ITER,
+                         fp_tol=direct.FP_TOL, fp_max_iter=direct.FP_MAX_ITER,
                          nlp_options=None):
     """Optimized-vs-uncontrolled boundary trajectories per (L0, H0) pair.
 

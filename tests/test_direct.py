@@ -302,6 +302,13 @@ class TestIterationCap:
                     default(verify.control_effect_sweep, "fp_max_iter"),
                     cli.SOLVER_KEYS["fp_max_iter"]]
         assert defaults == [direct.FP_MAX_ITER] * len(defaults)
+        tols = [default(direct.fixed_point_solve, "tol"),
+                default(direct.objective, "tol"),
+                default(direct.solve_direct, "fp_tol"),
+                default(verify.convergence_study, "fp_tol"),
+                default(verify.control_effect_sweep, "fp_tol"),
+                cli.SOLVER_KEYS["fp_tol"]]
+        assert tols == [direct.FP_TOL] * len(tols)
 
     def test_slow_contraction_converges_with_library_defaults(self):
         # 51 passes are needed here; a cap of 50 raised on the first oracle call

@@ -20,6 +20,21 @@ def _legendre_ref(n, x):
     return npleg.legval(x, c)
 
 
+def _shen_ref(n, x, d, kind):
+    """Term-by-term jacobi_eval sums of the n Shen basis functions of ``kind``,
+    and the largest magnitude of any term (the scale of their rounding)."""
+    def P(m):
+        return jacobi_eval(m, 0.0, 0.0, x, d)
+
+    if kind == "space":
+        terms = [(P(j - 1), -j * (j - 1) / ((j + 1) * (j + 2)) * P(j + 1))
+                 for j in range(1, n + 1)]
+    else:
+        terms = [(P(j - 1), P(j)) for j in range(1, n + 1)]
+    terms = np.array(terms)
+    return terms.sum(axis=1), np.max(np.abs(terms))
+
+
 class TestJacobiEval:
     def test_matches_legendre_reference(self):
         x = np.linspace(-1.0, 1.0, 41)
@@ -105,6 +120,22 @@ class TestBases:
         with pytest.raises(ValueError):
             build_bases(0, 4)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("x", [0.3, -1.0, np.linspace(-1.0, 1.0, 13)],
+                             ids=["scalar", "endpoint", "array"])
+    def test_eval_matches_term_by_term_jacobi_sum(self, n, d, x):
+        for kind, basis in zip(("space", "time"), build_bases(n, n)):
+            got = basis.eval(x, d)
+            ref, scale = _shen_ref(n, x, d, kind)
+            assert got.shape == ref.shape == (n,) + np.shape(x)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    def test_eval_rejects_points_outside_the_interval(self):
+        space, _ = build_bases(3, 3)
+        with pytest.raises(ValueError):
+            space.eval(np.array([0.0, 1.5]))
+
 
 class TestSetup:
     def test_matrix_shapes_and_convention(self):
@@ -144,6 +175,38 @@ class TestSetup:
         assert np.allclose(s.eval_field(C, s.rho, s.t), vals, atol=1e-12)
         back = s.solve_space_values(vals)
         assert np.allclose(s.D0r.T @ back, vals, atol=1e-12)
+
+    def test_solve_space_values_inverts_field_values_at_32(self):
+        s = build_setup(32, 32)
+        C = np.random.default_rng(8).normal(size=(32, 32))
+        back = s.solve_space_values(s.field_values(C))
+        assert np.max(np.abs(back - C @ s.D0t)) <= 1e-12 * np.max(np.abs(C @ s.D0t))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_space_time_inverses(self, n):
+        s = build_setup(n, n)
+        eye = np.eye(n)
+        assert np.allclose(s.D0rT_inv @ s.D0r.T, eye, rtol=0, atol=1e-12)
+        assert np.allclose(s.D0t_inv @ s.D0t, eye, rtol=0, atol=1e-12)
+        assert np.allclose(s.D0t @ s.K, s.D1t, rtol=0,
+                           atol=1e-12 * np.max(np.abs(s.D1t)))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_first_order_matrices_match_jacobi_vandermonde(self, n):
+        s = build_setup(n, 4)
+        degs = range(n + 1)
+        V0 = np.column_stack([jacobi_eval(m, 0.0, 0.0, s.rho, 0) for m in degs])
+        V1 = np.column_stack([jacobi_eval(m, 0.0, 0.0, s.rho, 1) for m in degs])
+        at_m1 = np.array([jacobi_eval(m, 0.0, 0.0, -1.0, 0) for m in degs])
+        d_at_m1 = np.array([jacobi_eval(m, 0.0, 0.0, -1.0, 1) for m in degs])
+        for got, ref in ((s.V0r, V0), (s.V1r, V1), (s.V_at_m1, at_m1),
+                         (s.V1_at_m1, d_at_m1)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+        # derivative collocated at the nodes, value pinned at rho = +1 or -1
+        unit = np.vstack([np.eye(n), np.zeros(n)])
+        for pin, row in ((s.pin_p1, np.ones(n + 1)), (s.pin_m1, at_m1)):
+            assert np.allclose(np.vstack([V1, row]) @ pin, unit, rtol=0, atol=1e-12)
 
     def test_time_series_at_plus_one(self):
         s = build_setup(3, 4)
