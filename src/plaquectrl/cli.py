@@ -244,6 +244,8 @@ def _direct_artifacts(config: RunConfig, outdir: Path, summary: dict):
         "sqp_converged": result.converged,
         "sqp_iterations": result.iterations,
         "sqp_message": result.message,
+        "sqp_evaluations": result.evaluations,
+        "sqp_oracle_calls": result.oracle_calls,
     }
     code = 0 if (state.converged and result.converged) else 1
     return code, best, state

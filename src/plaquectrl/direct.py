@@ -4,16 +4,24 @@ Each fixed-point pass freezes the previous iterate and solves the square
 space-time collocation systems (one operator shared by L and H, one for F)
 for the new coefficient matrices, updates the velocity at every time node in
 one solve, and advances the free boundary by a collocated ODE in time.  The
-scalar objective 1 - R(1) - eps over piecewise-constant controls is then
-handed to the SQP driver in :mod:`plaquectrl.nlp`.
+fixed point runs on a batch of nodal controls at once
+(:func:`fixed_point_batch`); a single solve is a batch of one.  The scalar
+objective 1 - R(1) - eps over piecewise-constant controls is then handed to
+the SQP driver in :mod:`plaquectrl.nlp` as an oracle over batches: each
+gradient's finite-difference probes are one batch, and :func:`solve_direct`
+solves each distinct nodal control once.
 
-The collocation operator is written once, as a map on batches of
-coefficient matrices (:func:`_apply_operator`), using only matrices that
+The collocation operator is written once, as the time, drift and diffusion
+terms of a map on batches of coefficient matrices
+(:meth:`~plaquectrl.spectral.CollocationSetup.operator_terms`, combined by
+:func:`_apply_operator`), using only matrices that
 :func:`~plaquectrl.spectral.build_setup` built for the grid.  A system with
-at most ``DENSE_MAX_UNKNOWNS`` unknowns N*M is assembled by applying that
-map to the identity (:func:`assemble_operator`) and solved by dense LU.  A
-larger one is never formed: GMRES applies the map and is preconditioned by
-a Sylvester equation solved by Bartels-Stewart
+at most ``DENSE_MAX_UNKNOWNS`` unknowns N*M is assembled from those terms
+applied to the identity, which the setup builds once on first use
+(:func:`assemble_operator`, one operator per batch member), and solved by
+one batched dense LU.  A larger one is never formed:
+GMRES applies the map, member by member, and is preconditioned by a
+Sylvester equation solved by Bartels-Stewart
 (:func:`_solve_matrix_free`).  The cut-off sits
 where the dense solve stops winning.  Whole fixed-point solves (default
 parameters, zero control, 2-vCPU VM, OpenBLAS threads at their default)
@@ -161,9 +169,8 @@ def _apply_operator(kind, grids, setup, params, C):
     With c = 2/T it maps C to c D0r' C D1t + G2 o (D1r' C D0t) - (D2r' C D0t) diag(g1).
     """
     g1, G2 = _coefficients(kind, grids)
-    CD = C @ setup.D0t
-    return ((2.0 / params.T) * setup.D0r.T @ C @ setup.D1t
-            + G2 * (setup.D1r.T @ CD) - (setup.D2r.T @ CD) * g1)
+    time, drift, diffusion = setup.operator_terms(C)
+    return (2.0 / params.T) * time + G2 * drift - diffusion * g1
 
 
 def assemble_operator(kind: str, grids, setup: CollocationSetup,
@@ -173,31 +180,41 @@ def assemble_operator(kind: str, grids, setup: CollocationSetup,
     ``grids`` is the tuple returned by :func:`kernels.eval_state_grids` at
     the frozen iterate.  Rows/columns are flattened row-major over
     (space index, time index).  With c = 2/T this is
-    c (D0r' x D1t') - g1 . (D2r' x D0t') + G2 . (D1r' x D0t'); column k is
-    the operator applied to the k-th unit coefficient matrix, and all
-    columns come from one batched application to the identity.
+    c (D0r' x D1t') - g1 . (D2r' x D0t') + G2 . (D1r' x D0t'): the setup's
+    :attr:`~plaquectrl.spectral.CollocationSetup.operator_matrices`, the
+    terms of :func:`_apply_operator` applied to the identity, with G2 and g1
+    scaling their rows.  Grids of a batch of iterates, G2 (B, N, M) and
+    g1 (B, 1, M), give the B operators (B, n, n).
     """
-    n = setup.N * setup.M
-    unit = np.eye(n).reshape(n, setup.N, setup.M)
-    return _apply_operator(kind, grids, setup, params, unit).reshape(n, n).T
+    g1, G2 = _coefficients(kind, grids)
+    time, drift, diffusion = setup.operator_matrices
+    rows = np.shape(G2)[:-2] + (setup.N * setup.M, 1)
+    A = np.reshape(G2, rows) * drift
+    A += (2.0 / params.T) * time
+    A -= np.broadcast_to(g1, np.shape(G2)).reshape(rows) * diffusion
+    return A
 
 
 def _solve_fields(kind, grids, setup, params, sources):
-    """Coefficient matrices (k, N, M) for k (N, M) source grids of field ``kind``.
+    """Coefficient matrices (B, k, N, M) for k (N, M) sources per batch member.
 
-    At or below ``DENSE_MAX_UNKNOWNS`` unknowns the operator is assembled and
-    factored once by dense LU; above it each source is solved matrix-free.
+    ``grids`` carry the member axis B.  At or below ``DENSE_MAX_UNKNOWNS``
+    unknowns the B operators are assembled and solved by one batched dense
+    LU; above it each member's sources are solved matrix-free.
     """
     if setup.N * setup.M > DENSE_MAX_UNKNOWNS:
-        return _solve_matrix_free(kind, grids, setup, params, sources)
+        return np.stack([
+            _solve_matrix_free(kind, [g[b] for g in grids], setup, params, src)
+            for b, src in enumerate(sources)])
     A = assemble_operator(kind, grids, setup, params)
+    B, k = sources.shape[:2]
     try:
-        sol = np.linalg.solve(A, sources.reshape(len(sources), -1).T)
+        sol = np.linalg.solve(A, sources.reshape(B, k, -1).transpose(0, 2, 1))
     except np.linalg.LinAlgError:
-        raise SingularOperatorError(kind, float(np.linalg.cond(A))) from None
+        raise SingularOperatorError(kind, float(np.max(np.linalg.cond(A)))) from None
     if not np.all(np.isfinite(sol)):
-        raise SingularOperatorError(kind, float(np.linalg.cond(A)))
-    return sol.T.reshape(sources.shape)
+        raise SingularOperatorError(kind, float(np.max(np.linalg.cond(A))))
+    return sol.transpose(0, 2, 1).reshape(sources.shape)
 
 
 def _solve_matrix_free(kind, grids, setup, params, sources):
@@ -214,7 +231,7 @@ def _solve_matrix_free(kind, grids, setup, params, sources):
     g1, G2 = _coefficients(kind, grids)
     N, M = setup.N, setup.M
     c = 2.0 / params.T
-    d = 1.0 / g1
+    d = 1.0 / np.ravel(g1)
     a = np.mean(G2 * d, axis=1)
     S, U = schur(setup.D0rT_inv @ (a[:, None] * setup.D1r.T - setup.D2r.T) / c)
     Tb, V = schur(setup.K * d)
@@ -286,61 +303,99 @@ def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
                       max_iter: int = FP_MAX_ITER) -> StateSolution:
     """Iterate the linearized collocation systems to a fixed point.
 
+    :func:`fixed_point_batch` for the one nodal control of ``control``.
+    """
+    return fixed_point_batch(control.values_at(setup.t)[None], setup, params,
+                             tol=tol, max_iter=max_iter)[0]
+
+
+def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
+                      tol: float = FP_TOL, max_iter: int = FP_MAX_ITER) -> list:
+    """Fixed points for a batch of nodal controls ``phi`` (B, M), one state each.
+
     All coefficient and source grids are frozen at the previous iterate; the
     boundary ODE (2/T) R' = v(-1, t) is advanced with the previous velocity.
-    L and H share one operator, solved once with both sources.  Stops when
-    the sup-norm delta of the stacked coefficients drops below ``tol``;
-    otherwise returns the last iterate with ``converged=False``.
+    L and H share one operator, solved once with both sources.  A member
+    stops when the sup-norm delta of its stacked coefficients drops below
+    ``tol`` and is frozen from then on; a member still moving after
+    ``max_iter`` passes is returned with ``converged=False``.  Each pass
+    solves the members still moving together: one batched dense solve for
+    L/H and one for F, or GMRES member by member above
+    ``DENSE_MAX_UNKNOWNS``.  Every member takes the same passes, and gives
+    bit for bit the same state, as a batch of one.
 
-    Updates are under-relaxed adaptively: the blend weight halves whenever
-    the raw update delta grows and recovers toward 1 as it contracts.  Any
-    limit of the damped sweep is a fixed point of the undamped map, so the
-    converged solution is unaffected; the damping only stabilizes the
-    transient, which diverges on coarse grids under the plain sweep.
+    Updates are under-relaxed adaptively, per member: the blend weight
+    halves whenever the raw update delta grows and recovers toward 1 as it
+    contracts.  Any limit of the damped sweep is a fixed point of the
+    undamped map, so the converged solution is unaffected; the damping only
+    stabilizes the transient, which diverges on coarse grids under the plain
+    sweep.  A non-finite update of any member raises
+    :class:`NonConvergenceError`.
     """
     if tol <= 0.0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
-    N, M = setup.N, setup.M
-    phi = control.values_at(setup.t)
-    C = np.zeros((3, N, M))  # L, H, F coefficient matrices
-    C_R = np.zeros(M)
-    nodal = np.zeros((3, N, M))  # L, H, F nodal values
-    Rt = np.zeros(M)
-    v_field = np.zeros((N, M))
-    v_inner = np.zeros(M)
-    history = []
-    converged = False
-    omega = 1.0
-    it = 0
+    phi = np.asarray(phi, dtype=float)
+    B, (N, M) = len(phi), (setup.N, setup.M)
+    member = np.arange(B)  # batch index of each member still moving
+    C = np.zeros((B, 3, N, M))  # L, H, F coefficient matrices
+    C_R = np.zeros((B, M))
+    nodal = np.zeros((B, 3, N, M))  # L, H, F nodal values
+    Rt = np.zeros((B, M))
+    v_field = np.zeros((B, N, M))
+    v_inner = np.zeros((B, M))
+    dv_inner = np.zeros((B, M))
+    last = np.full(B, np.inf)  # previous update delta
+    omega = np.ones(B)
+    history = [[] for _ in range(B)]
+    states = [None] * B
+
+    def freeze(keep, converged, iterations):
+        """Record the members not in ``keep`` as states and drop them."""
+        for b in np.flatnonzero(~keep):
+            states[member[b]] = StateSolution(
+                *C[b].copy(), C_R=C_R[b].copy(), v_field=v_field[b].copy(),
+                v_inner=v_inner[b].copy(), dv_inner=dv_inner[b].copy(),
+                residual_history=history[member[b]], converged=converged,
+                iterations=iterations, setup=setup)
+        return (a[keep] for a in (member, C, C_R, nodal, Rt, v_field, v_inner,
+                                  dv_inner, last, omega, phi))
+
     for it in range(1, max_iter + 1):
-        grids = kernels.eval_state_grids(setup.rho, Rt, v_inner, v_field,
-                                         *nodal, phi, params)
+        grids = kernels.eval_state_grids(setup.rho, Rt[:, None], v_inner[:, None],
+                                         v_field, *nodal.transpose(1, 0, 2, 3),
+                                         phi[:, None], params)
         C_new = np.concatenate([
-            _solve_fields("L", grids, setup, params, np.stack(grids[:2])),
-            _solve_fields("F", grids, setup, params, grids[2][None]),
-        ])
-        C_R_new = np.linalg.solve((2.0 / params.T) * setup.D1t.T, v_inner)
-        delta = max(np.max(np.abs(C_new - C)), np.max(np.abs(C_R_new - C_R)))
-        if not np.isfinite(delta):
+            _solve_fields("L", grids, setup, params, np.stack(grids[:2], axis=1)),
+            _solve_fields("F", grids, setup, params, grids[2][:, None]),
+        ], axis=1)
+        # One row product per member, never one product over the batch, so
+        # that no member's rounding depends on the batch it is in.
+        C_R_new = (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]
+        delta = np.maximum(np.abs(C_new - C).reshape(len(C), -1).max(axis=1),
+                           np.abs(C_R_new - C_R).max(axis=1))
+        if not np.all(np.isfinite(delta)):
             raise NonConvergenceError(f"non-finite update at iteration {it}")
-        if history and delta > history[-1]:
-            omega = max(0.5 * omega, 0.1)
-        elif omega < 1.0 and history and delta < 0.5 * history[-1]:
-            omega = min(2.0 * omega, 1.0)
-        history.append(float(delta))
-        C = (1.0 - omega) * C + omega * C_new
-        C_R = (1.0 - omega) * C_R + omega * C_R_new
+        omega = np.where(delta > last, np.maximum(0.5 * omega, 0.1),
+                         np.where((omega < 1.0) & (delta < 0.5 * last),
+                                  np.minimum(2.0 * omega, 1.0), omega))
+        last = delta
+        for b, d in zip(member, delta):
+            history[b].append(float(d))
+        w = omega[:, None]
+        C = (1.0 - w[:, :, None, None]) * C + w[:, :, None, None] * C_new
+        C_R = (1.0 - w) * C_R + w * C_R_new
         nodal = setup.field_values(C)
-        Rt = C_R @ setup.D0t
+        Rt = (C_R[:, None] @ setup.D0t)[:, 0]
         v_field, v_inner, dv_inner = model.velocity_solve(
-            Rt, dict(zip("LHF", nodal)), params, setup)
-        if delta < tol:
-            converged = True
-            break
-    return StateSolution(C_L=C[0], C_H=C[1], C_F=C[2], C_R=C_R,
-                         v_field=v_field, v_inner=v_inner, dv_inner=dv_inner,
-                         residual_history=history, converged=converged,
-                         iterations=it, setup=setup)
+            Rt[:, None], dict(zip("LHF", nodal.transpose(1, 0, 2, 3))), params, setup)
+        moving = delta >= tol
+        if not np.all(moving):
+            (member, C, C_R, nodal, Rt, v_field, v_inner, dv_inner, last, omega,
+             phi) = freeze(moving, True, it)
+            if not member.size:
+                break
+    freeze(np.zeros(len(member), dtype=bool), False, max_iter)
+    return states
 
 
 def objective(control: ControlVector, setup: CollocationSetup,
@@ -360,21 +415,39 @@ def solve_direct(setup: CollocationSetup, params: ModelParameters,
                  fp_tol: float = FP_TOL, fp_max_iter: int = FP_MAX_ITER):
     """Minimize the terminal thickness over the control box [0, Kbound]^M.
 
+    The SQP oracle maps a batch of control vectors to their objectives.  The
+    fixed point reads a control only through its values at the time nodes,
+    so within this call each distinct nodal control is solved once: a batch
+    is reduced to the nodal controls not seen before, which are solved
+    together by :func:`fixed_point_batch`.  Every state is checked by
+    :func:`require_converged` before its objective is used.
+
     Returns ``(control, state, value, result)`` where ``result`` is the full
     SQP trace/diagnostics.
     """
     opts = nlp_options or NlpOptions()
     M = setup.M
+    states = {}  # nodal control bytes -> converged state, for this call only
 
-    def oracle(x):
-        c = ControlVector(segments=x, Kbound=params.Kbound)
-        return objective(c, setup, params, tol=fp_tol, max_iter=fp_max_iter)
+    def nodal(x):
+        """Memo key and values of control ``x`` at the time nodes."""
+        phi = ControlVector(segments=x, Kbound=params.Kbound).values_at(setup.t)
+        return phi.tobytes(), phi
+
+    def oracle(X):
+        keys, phis = zip(*map(nodal, X))
+        new = {k: phi for k, phi in zip(keys, phis) if k not in states}
+        if new:
+            batch = fixed_point_batch(np.stack(list(new.values())), setup, params,
+                                      tol=fp_tol, max_iter=fp_max_iter)
+            for k, state in zip(new, batch):
+                require_converged(state, "objective")
+                states[k] = state
+        return np.array([1.0 - states[k].final_radius() - params.eps for k in keys])
 
     problem = NlpProblem(dimension=M, lower=np.zeros(M),
                          upper=np.full(M, params.Kbound),
                          objective=oracle, options=opts)
     result = sqp_minimize(problem, np.zeros(M))
     best = ControlVector(segments=result.x, Kbound=params.Kbound)
-    state = fixed_point_solve(best, setup, params, tol=fp_tol,
-                              max_iter=fp_max_iter)
-    return best, state, result.fun, result
+    return best, states[nodal(result.x)[0]], result.fun, result

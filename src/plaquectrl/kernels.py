@@ -1,10 +1,11 @@
 """Evaluation of the state-equation coefficient and right-hand-side grids.
 
 The fixed-point solver evaluates every model coefficient and source at all
-(N x M) collocation node pairs once per iteration, and the SQP driver
-re-runs the fixed point for every finite-difference probe.  The grids are
-built by broadcasting the pointwise formulas of :mod:`plaquectrl.model`
-over a column of space nodes against a row of time nodes.
+(N x M) collocation node pairs once per iteration, for every member of a
+batch of controls at once (the SQP driver's finite-difference probes are
+one batch).  The grids are built by broadcasting the pointwise formulas of
+:mod:`plaquectrl.model` over a column of space nodes against a row of time
+nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ def eval_state_grids(rho, Rt, vin, v, L, H, F, phi, p: ModelParameters):
 
     Shapes: ``rho (N,)``, ``Rt/vin/phi (M,)``, field grids ``(N, M)``.
     Returns ``(FL, FH, FF, G12, G32, G11, G31)`` with the last two shaped
-    ``(M,)`` (they do not depend on rho).  ``model.rhs`` raises
+    ``(M,)`` (they do not depend on rho).  A batch of B iterates passes
+    ``Rt/vin/phi`` as ``(B, 1, M)`` and field grids as ``(B, N, M)``; every
+    grid then gains the leading axis, and the last two are ``(B, 1, M)``.  ``model.rhs`` raises
     :class:`~plaquectrl.model.OcclusionError` if R + eps >= 1 at a time node.
     """
     col = rho[:, None]

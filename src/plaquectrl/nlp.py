@@ -1,15 +1,17 @@
 """Box-constrained minimization by sequential quadratic programming.
 
-The optimal-control objective is only available as a black-box oracle (one
-PDE solve per evaluation), so gradients are finite differences, the Hessian
-is a damped-BFGS approximation, and each step solves a small box-constrained
-quadratic subproblem with a primal active-set method.  Everything is
-dependency-free, sequential and deterministic.
+The optimal-control objective is only available as a black-box oracle that
+maps a batch of points to their values (one PDE solve per distinct point,
+and a batch may be solved together), so gradients are finite differences,
+the Hessian is a damped-BFGS approximation, and each step solves a small
+box-constrained quadratic subproblem with a primal active-set method.  Each
+gradient sends its whole probe set to the oracle in one call; line-search
+points go one at a time.  Everything is dependency-free and deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -28,12 +30,16 @@ class NlpOptions:
 
 @dataclass
 class NlpProblem:
-    """A box-constrained minimization problem over an objective oracle."""
+    """A box-constrained minimization problem over an objective oracle.
+
+    ``objective`` maps an array of k points, shape (k, dimension), to their
+    k values.
+    """
 
     dimension: int
     lower: np.ndarray
     upper: np.ndarray
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[np.ndarray], np.ndarray]
     options: NlpOptions = field(default_factory=NlpOptions)
 
     def __post_init__(self):
@@ -57,6 +63,8 @@ class NlpResult:
     iterations: int
     converged: bool
     message: str
+    evaluations: int  # points sent to the oracle
+    oracle_calls: int
 
 
 def _step_sizes(problem: NlpProblem) -> np.ndarray:
@@ -67,32 +75,29 @@ def _step_sizes(problem: NlpProblem) -> np.ndarray:
     return h * scale
 
 
-def fd_gradient(problem: NlpProblem, x) -> np.ndarray:
+def fd_gradient(problem: NlpProblem, x, fx=None) -> np.ndarray:
     """Finite-difference gradient: central where the box allows, one-sided at
-    active bounds.  Coordinates are probed in index order."""
+    active bounds, zero where neither step fits.
+
+    All probes go to the oracle in one call, together with x itself (first)
+    unless its value ``fx`` is given.
+    """
     x = np.asarray(x, dtype=float)
     steps = _step_sizes(problem)
-    g = np.empty(problem.dimension)
-    f0 = None
-    for i in range(problem.dimension):
-        h = steps[i]
-        up_ok = x[i] + h <= problem.upper[i]
-        dn_ok = x[i] - h >= problem.lower[i]
-        e = np.zeros(problem.dimension)
-        e[i] = h
-        if up_ok and dn_ok:
-            g[i] = (problem.objective(x + e) - problem.objective(x - e)) / (2.0 * h)
-        elif up_ok:
-            if f0 is None:
-                f0 = problem.objective(x)
-            g[i] = (problem.objective(x + e) - f0) / h
-        elif dn_ok:
-            if f0 is None:
-                f0 = problem.objective(x)
-            g[i] = (f0 - problem.objective(x - e)) / h
-        else:
-            g[i] = 0.0
-    return g
+    up = x + steps <= problem.upper
+    dn = x - steps >= problem.lower
+    e = np.diag(steps)
+    probes = np.concatenate([x + e[up], x - e[dn]])
+    if fx is None:
+        fx, *values = problem.objective(np.vstack([x, probes]))
+    else:
+        values = problem.objective(probes)
+    f_up = np.full(problem.dimension, fx)
+    f_dn = np.full(problem.dimension, fx)
+    f_up[up], f_dn[dn] = np.split(np.asarray(values, dtype=float), [np.sum(up)])
+    width = np.where(up, steps, 0.0) + np.where(dn, steps, 0.0)
+    return np.divide(f_up - f_dn, width, out=np.zeros(problem.dimension),
+                     where=width > 0.0)
 
 
 def qp_subproblem(H, g, lower, upper, max_iter=200, kkt_tol=1e-10) -> np.ndarray:
@@ -182,11 +187,23 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
     decreasing in f.
     """
     opts = problem.options
+    calls = points = 0
+    last = None  # values of the latest oracle call
+
+    def oracle(X):
+        nonlocal calls, points, last
+        last = np.asarray(problem.objective(X), dtype=float)
+        if last.shape != (len(X),):
+            raise ValueError("objective must map (k, dimension) points to k values")
+        calls, points = calls + 1, points + len(X)
+        return last
+
+    counted = replace(problem, objective=oracle)
     x = np.clip(np.asarray(x0, dtype=float), problem.lower, problem.upper)
-    f = float(problem.objective(x))
+    g = fd_gradient(counted, x)  # x goes first in the call with its probes
+    f = float(last[0])
     trace = [(x.copy(), f)]
     B = np.eye(problem.dimension)
-    g = fd_gradient(problem, x)
     converged = False
     message = "iteration cap reached"
     it = 0
@@ -205,7 +222,7 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
         accepted = False
         for _ in range(opts.max_backtracks):
             xt = np.clip(x + alpha * d, problem.lower, problem.upper)
-            ft = float(problem.objective(xt))
+            ft = float(oracle(xt[None])[0])
             if ft <= f + opts.armijo_c * alpha * slope:
                 accepted = True
                 break
@@ -216,7 +233,7 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
         s = xt - x
         x, f = xt, ft
         trace.append((x.copy(), f))
-        g_new = fd_gradient(problem, x)
+        g_new = fd_gradient(counted, x, f)
         B = _bfgs_update(B, s, g_new - g)
         g = g_new
     if not converged:
@@ -225,4 +242,5 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
             converged = True
             message = "projected gradient below tolerance"
     return NlpResult(x=x, fun=f, trace=trace, iterations=it,
-                     converged=converged, message=message)
+                     converged=converged, message=message,
+                     evaluations=points, oracle_calls=calls)

@@ -9,12 +9,14 @@ space and Legendre-Gauss-Radau nodes (right endpoint included) in time;
 both node sets are eigenvalues of a tridiagonal Jacobi matrix.
 :func:`build_setup` builds, once per grid, the differentiation matrices,
 the inverses the space-time solves use and the first-order collocation
-matrices of the velocity and P_v solves.
+matrices of the velocity and P_v solves; the setup also holds the terms of
+the space-time collocation operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legvander
@@ -162,7 +164,8 @@ class CollocationSetup:
     nodes, so every differentiation matrix is square.  Matrix convention
     follows ``[D^d]_{jk} = p_j^{(d)}(node_k)`` (row = basis function,
     column = node).  :func:`build_setup` builds every field once; the
-    solvers of both routes only read them.
+    solvers of both routes only read them.  The dense operator terms
+    (:attr:`operator_matrices`) are built once, on first use.
     """
 
     N: int
@@ -179,9 +182,10 @@ class CollocationSetup:
     # basis values at the interval endpoints (for boundary synthesis)
     space_at_m1: np.ndarray
     time_at_p1: np.ndarray
-    # inverses for the space-time solves; K = D0t^-1 D1t
+    # inverses for the space-time solves and the boundary ODE; K = D0t^-1 D1t
     D0rT_inv: np.ndarray
     D0t_inv: np.ndarray
+    D1tT_inv: np.ndarray
     K: np.ndarray
     # First-order solves (velocity, P_v) in Legendre degrees 0..N:
     # V0r[k, m] = P_m(rho_k), V1r[k, m] = P_m'(rho_k), P_m and P_m' at
@@ -193,6 +197,21 @@ class CollocationSetup:
     V1_at_m1: np.ndarray
     pin_p1: np.ndarray
     pin_m1: np.ndarray
+
+    def operator_terms(self, C: np.ndarray):
+        """D0r' C D1t, D1r' C D0t and D2r' C D0t for a batch C (..., N, M): the
+        time, drift and diffusion terms of the space-time collocation operator."""
+        CD = C @ self.D0t
+        return self.D0r.T @ C @ self.D1t, self.D1r.T @ CD, self.D2r.T @ CD
+
+    @cached_property
+    def operator_matrices(self):
+        """The three :meth:`operator_terms` as (N*M, N*M) matrices, rows and
+        columns flattened row-major over (space, time).  Built on first use:
+        only the dense solve needs them, and they hold 3 (N*M)^2 floats."""
+        n = self.N * self.M
+        unit = np.eye(n).reshape(n, self.N, self.M)
+        return tuple(T.reshape(n, n).T for T in self.operator_terms(unit))
 
     def field_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal values (..., N, M) of fields with coefficient matrices (..., N, M)."""
@@ -234,6 +253,7 @@ def build_setup(N: int, M: int) -> CollocationSetup:
         N=N, M=M, space_basis=space, time_basis=time, rho=rho, t=t,
         D0r=D0r, D1r=space.eval(rho, 1), D2r=space.eval(rho, 2), D0t=D0t, D1t=D1t,
         space_at_m1=space.eval(-1.0), time_at_p1=time.eval(1.0),
-        D0rT_inv=np.linalg.inv(D0r.T), D0t_inv=D0t_inv, K=D0t_inv @ D1t,
+        D0rT_inv=np.linalg.inv(D0r.T), D0t_inv=D0t_inv,
+        D1tT_inv=np.linalg.inv(D1t.T), K=D0t_inv @ D1t,
         V0r=legendre.eval(rho).T, V1r=V1r, V_at_m1=V_at_m1,
         V1_at_m1=legendre.eval(-1.0, 1), pin_p1=pin_p1, pin_m1=pin_m1)

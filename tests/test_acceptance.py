@@ -221,13 +221,13 @@ def test_criterion_8_sqp_suite():
     opts = NlpOptions()
     prob = NlpProblem(dimension=1, lower=np.array([0.0]),
                       upper=np.array([1.0]),
-                      objective=lambda x: (x[0] - 0.3) ** 2, options=opts)
+                      objective=lambda X: (X[:, 0] - 0.3) ** 2, options=opts)
     r1 = sqp_minimize(prob, np.array([0.9]))
     prob2 = NlpProblem(dimension=1, lower=np.array([0.0]),
                        upper=np.array([1.0]),
-                       objective=lambda x: (x[0] - 2.0) ** 2, options=opts)
+                       objective=lambda X: (X[:, 0] - 2.0) ** 2, options=opts)
     r2 = sqp_minimize(prob2, np.array([0.1]))
-    rosen = lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
+    rosen = lambda X: (1 - X[:, 0]) ** 2 + 100 * (X[:, 1] - X[:, 0] ** 2) ** 2
     prob3 = NlpProblem(dimension=2, lower=np.zeros(2), upper=np.full(2, 2.0),
                        objective=rosen, options=NlpOptions(max_iter=200))
     r3 = sqp_minimize(prob3, np.array([0.0, 0.0]))

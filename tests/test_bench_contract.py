@@ -57,4 +57,8 @@ def test_one_operation_passes_its_check_under_the_tracer(monkeypatch, workload, 
     with wl.observed():
         _, error = run.run_op(wl, build_setup(*wl.grid), x, tracer)
     assert error is None
-    assert tracer.totals()["model.rhs"]["calls"] > 0  # traced, not bypassed
+    totals = tracer.totals()
+    assert totals["model.rhs"]["calls"] > 0  # traced, not bypassed
+    if workload == "sweep-8x8":  # the batched probe path keeps its traced names
+        for name in ("direct.assemble_operator", "nlp.fd_gradient"):
+            assert totals.get(name, {"calls": 0})["calls"] > 0, name

@@ -88,6 +88,12 @@ class TestCommands:
                      "direct_control.csv"):
             assert (tmp_path / name).exists()
 
+    def test_solve_direct_reports_oracle_counts(self, tmp_path):
+        assert _run_main(tmp_path, "solve-direct") == 0
+        direct = json.loads((tmp_path / "manifest.json").read_text())["summary"]["direct"]
+        assert direct["sqp_oracle_calls"] >= 1
+        assert direct["sqp_evaluations"] >= direct["sqp_oracle_calls"]
+
     def test_solve_indirect_decoupled(self, tmp_path):
         code = _run_main(tmp_path, "solve-indirect")
         assert code == 0

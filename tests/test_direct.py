@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plaquectrl import cli, direct, kernels, verify
-from plaquectrl.nlp import NlpOptions
+from plaquectrl.nlp import NlpOptions, NlpProblem, sqp_minimize
 from plaquectrl.params import ModelParameters
 from plaquectrl.spectral import build_setup
 
@@ -203,12 +203,117 @@ class TestSolveDirect:
         assert np.allclose(control.segments, 0.0)
         assert result.iterations == 0
 
+    @pytest.mark.parametrize("n, params", [(8, P), (4, P_SLOW)],
+                             ids=["default-8", "mu1=0.06-4"])
+    def test_same_result_as_sqp_on_a_pointwise_oracle(self, n, params):
+        s = build_setup(n, n)
+        control, state, value, result = direct.solve_direct(s, params)
+
+        def pointwise(X):
+            return np.array([direct.objective(direct.ControlVector(x, params.Kbound),
+                                              s, params) for x in X])
+
+        ref = sqp_minimize(NlpProblem(dimension=n, lower=np.zeros(n),
+                                      upper=np.full(n, params.Kbound),
+                                      objective=pointwise), np.zeros(n))
+        assert np.max(np.abs(control.segments - ref.x)) <= 1e-12
+        assert abs(value - ref.fun) <= 1e-12
+        assert result.iterations == ref.iterations
+        assert (result.evaluations, result.oracle_calls) == (ref.evaluations,
+                                                             ref.oracle_calls)
+        assert state.converged and abs(_objective(state, params) - value) == 0.0
+
+    def test_optimal_zero_control_reads_its_own_objective(self):
+        # x0 = 0 is solved in one batch with its probes; control_effect_sweep
+        # compares that J with a single solve of the zero control strictly.
+        p = P.with_overrides(L0=0.01472650807414623, H0=0.005215785112430533)
+        s = build_setup(8, 8)
+        control, _, value, _ = direct.solve_direct(s, p)
+        assert np.all(control.segments == 0.0)
+        assert value == direct.objective(_zero_control(8), s, p)
+
+    def test_unconverged_probe_raises(self, monkeypatch):
+        batch = direct.fixed_point_batch
+
+        def one_probe_capped(phi, setup, params, **kw):
+            states = batch(phi, setup, params, **kw)
+            if len(states) > 1:  # a gradient's probes
+                states[1] = batch(phi[1:2], setup, params, tol=kw["tol"], max_iter=2)[0]
+            return states
+
+        monkeypatch.setattr(direct, "fixed_point_batch", one_probe_capped)
+        with pytest.raises(direct.NonConvergenceError,
+                           match="objective fixed-point solve did not converge "
+                                 "in 2 iterations"):
+            direct.solve_direct(build_setup(4, 4), P)
+
     def test_decoupled_optimum(self):
         s = build_setup(4, 4)
         control, state, value, result = direct.solve_direct(
             s, P.decoupled(), nlp_options=NlpOptions(max_iter=5))
         assert abs(value - (1.0 - P.eps)) < 1e-12
         assert state.converged
+
+
+def _nodal(segments, setup, params):
+    return direct.ControlVector(segments, params.Kbound).values_at(setup.t)
+
+
+def _objective(state, params):
+    return 1.0 - state.final_radius() - params.eps
+
+
+def _assert_same_state(got, ref, params):
+    """A batch member against its own solve: same passes, same fields, bit for
+    bit (the sweep compares the J of two solves of the zero control strictly)."""
+    assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+    assert got.residual_history == ref.residual_history
+    for a, b in ((got.C_L, ref.C_L), (got.C_H, ref.C_H), (got.C_F, ref.C_F),
+                 (got.C_R, ref.C_R), (got.v_field, ref.v_field),
+                 (got.v_inner, ref.v_inner), (got.dv_inner, ref.dv_inner)):
+        assert np.array_equal(a, b)
+    assert _objective(got, params) == _objective(ref, params)
+
+
+def _check_batch(segments, setup, params, **kw):
+    """Solve ``segments`` as one batch; each member must match its own solve."""
+    batch = direct.fixed_point_batch(
+        np.stack([_nodal(x, setup, params) for x in segments]), setup, params, **kw)
+    for x, got in zip(segments, batch):
+        ref = direct.fixed_point_solve(direct.ControlVector(x, params.Kbound),
+                                       setup, params, **kw)
+        _assert_same_state(got, ref, params)
+    return batch
+
+
+def _bang_segments(n, K):
+    return [np.zeros(n), np.full(n, K), K * np.eye(n)[0],
+            np.linspace(0.0, K, n), K * (np.arange(n) % 2)]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("params", [P, P_SLOW], ids=["default", "mu1=0.06"])
+    def test_members_match_their_own_solves(self, n, params):
+        batch = _check_batch(_bang_segments(n, params.Kbound), build_setup(n, n), params)
+        assert all(st.converged for st in batch)
+
+    def test_members_converge_at_different_passes(self):
+        # at 4x4 the zero control needs 49 passes and the full control 61
+        batch = _check_batch([np.zeros(4), np.full(4, P.Kbound)], build_setup(4, 4), P)
+        assert batch[0].iterations < batch[1].iterations
+
+    def test_capped_member_unconverged_while_the_other_converges(self):
+        zero, full = _check_batch([np.zeros(4), np.full(4, P.Kbound)],
+                                  build_setup(4, 4), P, max_iter=55)
+        assert zero.converged and zero.iterations < 55
+        assert not full.converged and full.iterations == 55
+        assert len(full.residual_history) == 55
+
+    def test_matrix_free_batch(self):
+        s = build_setup(16, 16)
+        assert s.N * s.M > direct.DENSE_MAX_UNKNOWNS
+        _check_batch([np.zeros(16), np.full(16, P.Kbound)], s, P)
 
 
 def _grids_after(control, setup, params, steps):
@@ -272,6 +377,12 @@ class TestMatrixFree:
         assert dense.converged and free.converged
         assert dense.iterations == free.iterations
         assert abs(dense.final_radius() - free.final_radius()) <= 1e-12
+
+    def test_operator_matrices_built_only_for_dense_solves(self):
+        # 3 (N M)^2 floats: 25 MB at 32 x 32, where GMRES never needs them
+        s = build_setup(16, 16)
+        assert direct.fixed_point_solve(_zero_control(16), s, P).converged
+        assert "operator_matrices" not in vars(s)
 
     def test_unconverged_gmres_raises(self, monkeypatch):
         s = build_setup(32, 32)

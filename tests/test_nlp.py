@@ -13,9 +13,11 @@ from plaquectrl.nlp import (
 
 
 def _problem(f, lower, upper, **opts):
+    """A problem whose oracle applies the pointwise objective ``f`` row by row."""
     lower = np.asarray(lower, dtype=float)
     return NlpProblem(dimension=lower.size, lower=lower,
-                      upper=np.asarray(upper, dtype=float), objective=f,
+                      upper=np.asarray(upper, dtype=float),
+                      objective=lambda X: np.array([f(x) for x in X]),
                       options=NlpOptions(**opts))
 
 
@@ -40,6 +42,23 @@ class TestFdGradient:
         p = _problem(f, [-2.0] * 3, [2.0] * 3)
         x = np.array([0.3, -0.7, 1.1])
         assert np.allclose(fd_gradient(p, x), A @ x, rtol=1e-6, atol=1e-9)
+
+    def test_one_oracle_call_with_x_first_unless_its_value_is_given(self):
+        calls = []
+
+        def f(X):
+            calls.append(X.copy())
+            return X[:, 0] ** 2 + X[:, 1]
+
+        p = NlpProblem(dimension=2, lower=np.zeros(2), upper=np.ones(2),
+                       objective=f)
+        x = np.array([0.5, 1.0])  # central in x0, one-sided in x1
+        g = fd_gradient(p, x)
+        assert len(calls) == 1 and len(calls[0]) == 4
+        assert np.array_equal(calls[0][0], x)
+        assert np.allclose(g, [1.0, 1.0], atol=1e-8)
+        assert np.array_equal(fd_gradient(p, x, 1.25), g)
+        assert len(calls) == 2 and len(calls[1]) == 3
 
     def test_invariants_validated(self):
         with pytest.raises(ValueError):
@@ -121,3 +140,34 @@ class TestSqpMinimize:
         p = _problem(lambda x: float((x[0] - 0.3) ** 2), [0.0], [1.0])
         r = sqp_minimize(p, np.array([5.0]))
         assert abs(r.x[0] - 0.3) < 1e-6
+
+
+class TestOracleCalls:
+    def test_each_gradient_is_one_call_and_no_point_repeats(self):
+        calls = []
+
+        def f(X):
+            calls.append(X.copy())
+            return np.sum((X - [0.3, 0.7, 2.0]) ** 2, axis=1)
+
+        p = NlpProblem(dimension=3, lower=np.zeros(3), upper=np.ones(3),
+                       objective=f)
+        r = sqp_minimize(p, np.zeros(3))
+        assert r.converged and np.allclose(r.x, [0.3, 0.7, 1.0], atol=1e-6)
+        points = np.concatenate(calls)
+        assert (r.evaluations, r.oracle_calls) == (len(points), len(calls))
+        assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+        # one call per gradient, one per accepted point, with x0 first in the
+        # first; every other call is a single line-search point
+        gradients = [c for c in calls if len(c) > 1]
+        searches = [c for c in calls if len(c) == 1]
+        assert len(gradients) == len(r.trace)
+        assert len(gradients) + len(searches) == len(calls)
+        assert len(searches) >= len(r.trace) - 1
+        assert np.array_equal(calls[0][0], r.trace[0][0])
+
+    def test_pointwise_objective_rejected(self):
+        p = NlpProblem(dimension=2, lower=np.zeros(2), upper=np.ones(2),
+                       objective=lambda X: float(np.sum(X)))
+        with pytest.raises(ValueError, match="k values"):
+            sqp_minimize(p, np.zeros(2))

@@ -192,6 +192,11 @@ class TestSetup:
                            atol=1e-12 * np.max(np.abs(s.D1t)))
 
     @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_boundary_ode_inverse(self, n):
+        s = build_setup(4, n)
+        assert np.allclose(s.D1tT_inv @ s.D1t.T, np.eye(n), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
     def test_first_order_matrices_match_jacobi_vandermonde(self, n):
         s = build_setup(n, 4)
         degs = range(n + 1)
