@@ -9,9 +9,11 @@ Five subcommands map one-to-one onto the library workflows:
 * ``sweep``           control-effect sweep over (L0, H0) pairs
 
 Configuration is a sectioned key=value file (configparser dialect) with
-command-line flags overriding file values.  Exit codes: 0 success, 1 solver
-non-convergence, 2 invalid input.  All floating-point output uses 12
-significant digits and runs are deterministic (byte-identical CSV bodies).
+command-line flags overriding file values.  One table, ``SECTIONS``, lists
+every key with its default; solver defaults are the library's own.  Exit
+codes: 0 success, 1 solver non-convergence, 2 invalid input.  All
+floating-point output uses 12 significant digits and runs are deterministic
+(byte-identical CSV bodies).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,21 +34,26 @@ from .nlp import NlpOptions
 from .params import ModelParameters
 from .spectral import build_setup
 
-PARAM_KEYS = [f.name for f in dataclasses.fields(ModelParameters)]
-GRID_KEYS = {"N": 8, "M": 8, "Ne": 16, "Me": 16}
-SOLVER_KEYS = {
-    "fp_tol": direct.FP_TOL, "fp_max_iter": direct.FP_MAX_ITER,
-    "sqp_tol": 1e-6, "sqp_max_iter": 100, "grad_step": 1e-5,
-    "shoot_tol": 1e-8, "shoot_max_iter": 50, "rk4_steps": 400,
+SECTIONS = {
+    "parameters": {f.name: f.default for f in dataclasses.fields(ModelParameters)},
+    "grid": {"N": 8, "M": 8, "Ne": 16, "Me": 16},
+    "solver": {
+        "fp_tol": direct.FP_TOL, "fp_max_iter": direct.FP_MAX_ITER,
+        "sqp_tol": NlpOptions.tol, "sqp_max_iter": NlpOptions.max_iter,
+        "grad_step": NlpOptions.grad_step, "shoot_tol": indirect.SHOOT_TOL,
+        "shoot_max_iter": indirect.SHOOT_MAX_ITER, "rk4_steps": indirect.RK4_STEPS,
+    },
+    "run": {
+        "output_dir": "out",
+        "sweep_pairs": ",".join(f"{L0:.4f}:{H0:.4f}"
+                                for L0, H0 in verify.DEFAULT_SWEEP_PAIRS),
+        "study_grids": "2x2,4x4,8x8",
+    },
 }
-RUN_KEYS = {
-    "output_dir": "out",
-    "sweep_pairs": ",".join(f"{L0:.4f}:{H0:.4f}"
-                            for L0, H0 in verify.DEFAULT_SWEEP_PAIRS),
-    "study_grids": "2x2,4x4,8x8",
-}
-_INT_KEYS = {"N", "M", "Ne", "Me", "fp_max_iter", "sqp_max_iter",
-             "shoot_max_iter", "rk4_steps"}
+PARAM_KEYS, GRID_KEYS, SOLVER_KEYS, RUN_KEYS = SECTIONS.values()
+_SECTION_OF = {key: name for name, defaults in SECTIONS.items() for key in defaults}
+# Run keys holding comma-separated pairs: separator, element type, format.
+_LISTS = {"sweep_pairs": (":", float, "L0:H0"), "study_grids": ("x", int, "NxM")}
 
 
 class ConfigError(ValueError):
@@ -70,50 +78,19 @@ class RunConfig:
         }
 
 
-def _parse_pairs(text: str):
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+def _parse_list(key: str, text: str):
+    """The (a, b) pairs of run key ``key`` (see ``_LISTS``)."""
+    sep, kind, form = _LISTS[key]
+    items = []
+    for chunk in filter(None, (c.strip() for c in text.split(","))):
         try:
-            a, b = chunk.split(":")
-            pairs.append((float(a), float(b)))
+            a, b = chunk.lower().split(sep)
+            items.append((kind(a), kind(b)))
         except ValueError:
-            raise ConfigError(f"malformed sweep pair {chunk!r} (want L0:H0)") from None
-    if not pairs:
-        raise ConfigError("sweep_pairs is empty")
-    return pairs
-
-
-def _parse_grids(text: str):
-    grids = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            a, b = chunk.lower().split("x")
-            grids.append((int(a), int(b)))
-        except ValueError:
-            raise ConfigError(f"malformed grid {chunk!r} (want NxM)") from None
-    if not grids:
-        raise ConfigError("study_grids is empty")
-    return grids
-
-
-def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-    if key in RUN_KEYS:
-        return raw
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+            raise ConfigError(f"malformed {key} entry {chunk!r} (want {form})") from None
+    if not items:
+        raise ConfigError(f"{key} is empty")
+    return items
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
@@ -122,7 +99,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
     ``path`` is an optional sectioned key=value file with sections
     [parameters], [grid], [solver], [run]; unknown sections or keys are
     rejected.  ``overrides`` maps flat key -> raw string and wins over the
-    file.  Missing keys take the documented defaults.
+    file.  Missing keys take the defaults in ``SECTIONS``; every value is
+    converted to the type of its default.
     """
     values = {}
     if path is not None:
@@ -135,83 +113,65 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"config parse error: {exc}") from None
-        known = {"parameters": PARAM_KEYS, "grid": GRID_KEYS,
-                 "solver": SOLVER_KEYS, "run": RUN_KEYS}
         for section in cp.sections():
-            if section not in known:
+            if section not in SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in cp.items(section):
-                if key not in known[section]:
+                if key not in SECTIONS[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 values[key] = raw
-    for key, raw in (overrides or {}).items():
-        if raw is not None:
-            values[key] = raw
-
-    param_over = {k: float(values.pop(k)) for k in list(values)
-                  if k in PARAM_KEYS}
-    try:
-        params = ModelParameters(**param_over)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid parameters: {exc}") from None
-    grid = dict(GRID_KEYS)
-    solver = dict(SOLVER_KEYS)
-    run = dict(RUN_KEYS)
-    for key in list(values):
-        raw = values.pop(key)
-        if key in grid:
-            grid[key] = _coerce(key, str(raw))
-        elif key in solver:
-            solver[key] = _coerce(key, str(raw))
-        elif key in run:
-            run[key] = str(raw)
-        else:
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    resolved = {name: dict(defaults) for name, defaults in SECTIONS.items()}
+    for key, raw in values.items():
+        if key not in _SECTION_OF:
             raise ConfigError(f"unknown configuration key {key!r}")
-    if grid["N"] < 1 or grid["M"] < 1:
-        raise ConfigError("grid sizes N, M must be >= 1")
-    if solver["fp_tol"] <= 0 or solver["fp_max_iter"] < 1:
-        raise ConfigError("fp_tol must be > 0 and fp_max_iter >= 1")
-    if solver["rk4_steps"] < 2:
-        raise ConfigError("rk4_steps must be >= 2")
-    _parse_pairs(run["sweep_pairs"])
-    _parse_grids(run["study_grids"])
+        section = resolved[_SECTION_OF[key]]
+        try:
+            section[key] = type(section[key])(str(raw))
+        except ValueError:
+            raise ConfigError(f"{key} must be {type(section[key]).__name__}, "
+                              f"got {raw!r}") from None
+    try:
+        params = ModelParameters(**resolved["parameters"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid parameters: {exc}") from None
+    grid, solver, run = resolved["grid"], resolved["solver"], resolved["run"]
+    for key, low in (("N", 1), ("M", 1), ("fp_max_iter", 1), ("rk4_steps", 2)):
+        if {**grid, **solver}[key] < low:
+            raise ConfigError(f"{key} must be >= {low}")
+    for key in ("fp_tol", "sqp_tol", "shoot_tol", "grad_step"):
+        if not 0.0 < solver[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0")
+    for key in _LISTS:
+        _parse_list(key, run[key])
     return RunConfig(params=params, grid=grid, solver=solver, run=run)
 
 
 def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+    return x if isinstance(x, str) else f"{float(x):.12g}"
 
 
-def _write_field_csv(path: Path, t_values, rho_values, grid_values):
-    """(t, rho, value) triples in row-major time order; grid is (nrho, nt)."""
-    lines = ["t,rho,value"]
-    for j, t in enumerate(t_values):
-        for i, r in enumerate(rho_values):
-            lines.append(f"{_fmt(t)},{_fmt(r)},{_fmt(grid_values[i, j])}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, rows):
+    path.write_text("\n".join([header] + [",".join(map(_fmt, r)) for r in rows]) + "\n")
 
 
-def _write_control_csv(path: Path, starts, ends, values):
-    lines = ["segment_start,segment_end,value"]
-    for a, b, v in zip(starts, ends, values):
-        lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(v)}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_route(route, outdir: Path, t, rho, fields, R, eps, control):
+    """``<route>_field_{L,H,F}.csv`` as (t, rho, value) rows in time-major order
+    (``fields[which]`` is (nrho, nt)), ``_radius.csv`` and ``_control.csv``."""
+    for which in "LHF":
+        _write_csv(outdir / f"{route}_field_{which}.csv", "t,rho,value",
+                   ((tj, r, fields[which][i, j]) for j, tj in enumerate(t)
+                    for i, r in enumerate(rho)))
+    _write_csv(outdir / f"{route}_radius.csv", "t,R,R_physical",
+               ((tj, r, r + eps) for tj, r in zip(t, R)))
+    _write_csv(outdir / f"{route}_control.csv", "segment_start,segment_end,value",
+               zip(*control))
 
 
 def _control_runs(time_grid, phi):
-    """Compress control samples into constant runs (start, end, value)."""
-    starts, ends, values = [], [], []
-    i = 0
-    n = len(phi)
-    while i < n:
-        j = i
-        while j + 1 < n and phi[j + 1] == phi[i]:
-            j += 1
-        starts.append(time_grid[i])
-        ends.append(time_grid[j] if j == n - 1 else time_grid[j + 1])
-        values.append(phi[i])
-        i = j + 1
-    return starts, ends, values
+    """Compress control samples into constant runs (starts, ends, values)."""
+    first = np.flatnonzero(np.r_[True, phi[1:] != phi[:-1]])
+    return time_grid[first], np.r_[time_grid[first[1:]], time_grid[-1]], phi[first]
 
 
 def _nlp_options(solver: dict) -> NlpOptions:
@@ -219,26 +179,19 @@ def _nlp_options(solver: dict) -> NlpOptions:
                       max_iter=solver["sqp_max_iter"])
 
 
-def _direct_artifacts(config: RunConfig, outdir: Path, summary: dict):
+def _direct(config: RunConfig, outdir: Path, summary: dict):
     setup = build_setup(config.grid["N"], config.grid["M"])
-    sv = config.solver
+    sv, eps = config.solver, config.params.eps
     best, state, value, result = direct.solve_direct(
         setup, config.params, _nlp_options(sv),
         fp_tol=sv["fp_tol"], fp_max_iter=sv["fp_max_iter"])
-    for which in ("L", "H", "F"):
-        _write_field_csv(outdir / f"direct_field_{which}.csv", setup.t,
-                         setup.rho, state.field_nodes(which))
-    Rn = state.radius_nodes()
-    lines = ["t,R,R_physical"]
-    for t, r in zip(setup.t, Rn):
-        lines.append(f"{_fmt(t)},{_fmt(r)},{_fmt(r + config.params.eps)}")
-    (outdir / "direct_radius.csv").write_text("\n".join(lines) + "\n")
     edges = best.partition
-    _write_control_csv(outdir / "direct_control.csv", edges[:-1], edges[1:],
-                       best.segments)
+    _write_route("direct", outdir, setup.t, setup.rho,
+                 {w: state.field_nodes(w) for w in "LHF"}, state.radius_nodes(),
+                 eps, (edges[:-1], edges[1:], best.segments))
     summary["direct"] = {
         "objective": value,
-        "final_radius_physical": state.final_radius() + config.params.eps,
+        "final_radius_physical": state.final_radius() + eps,
         "fixed_point_converged": state.converged,
         "fixed_point_iterations": state.iterations,
         "sqp_converged": result.converged,
@@ -247,59 +200,42 @@ def _direct_artifacts(config: RunConfig, outdir: Path, summary: dict):
         "sqp_evaluations": result.evaluations,
         "sqp_oracle_calls": result.oracle_calls,
     }
-    code = 0 if (state.converged and result.converged) else 1
-    return code, best, state
+    return 0 if (state.converged and result.converged) else 1, best, state
 
 
-def _run_direct(config: RunConfig, outdir: Path, summary: dict) -> int:
-    return _direct_artifacts(config, outdir, summary)[0]
-
-
-def _indirect_artifacts(config: RunConfig, outdir: Path, summary: dict):
+def _indirect(config: RunConfig, outdir: Path, summary: dict):
     setup = build_setup(config.grid["N"], config.grid["M"])
-    sv = config.solver
+    sv, eps = config.solver, config.params.eps
     sol = indirect.solve_indirect(setup, config.params, tol=sv["shoot_tol"],
                                   max_iter=sv["shoot_max_iter"],
                                   n_steps=sv["rk4_steps"])
-    for which in ("L", "H", "F"):
-        _write_field_csv(outdir / f"indirect_field_{which}.csv", sol.time_grid,
-                         setup.rho, sol.field_nodes(which).T)
-    lines = ["t,R,R_physical"]
-    for t, r in zip(sol.time_grid, sol.R):
-        lines.append(f"{_fmt(t)},{_fmt(r)},{_fmt(r + config.params.eps)}")
-    (outdir / "indirect_radius.csv").write_text("\n".join(lines) + "\n")
-    starts, ends, values = _control_runs(sol.time_grid, sol.phi)
-    _write_control_csv(outdir / "indirect_control.csv", starts, ends, values)
+    _write_route("indirect", outdir, sol.time_grid, setup.rho,
+                 {w: sol.field_nodes(w).T for w in "LHF"}, sol.R, eps,
+                 _control_runs(sol.time_grid, sol.phi))
     summary["indirect"] = {
-        "objective": 1.0 - float(sol.R[-1]) - config.params.eps,
-        "final_radius_physical": float(sol.R[-1]) + config.params.eps,
+        "objective": 1.0 - float(sol.R[-1]) - eps,
+        "final_radius_physical": float(sol.R[-1]) + eps,
         "converged": sol.converged,
         "newton_iterations": sol.newton_iterations,
         "residual_norm": sol.residual_norm,
         "switching_times": [float(x) for x in sol.switching_times],
     }
-    code = 0 if sol.converged else 1
-    return code, sol
-
-
-def _run_indirect(config: RunConfig, outdir: Path, summary: dict) -> int:
-    return _indirect_artifacts(config, outdir, summary)[0]
+    return 0 if sol.converged else 1, sol
 
 
 def _run_compare(config: RunConfig, outdir: Path, summary: dict) -> int:
-    code_d, best, state = _direct_artifacts(config, outdir, summary)
-    code_i, sol = _indirect_artifacts(config, outdir, summary)
+    code_d, best, state = _direct(config, outdir, summary)
+    code_i, sol = _indirect(config, outdir, summary)
     diff = verify.cross_method_diff(state, sol, best)
-    lines = ["quantity,sup_norm_difference"]
-    for key in ("L", "H", "F", "R", "control", "control_match_fraction"):
-        lines.append(f"{key},{_fmt(diff[key])}")
-    (outdir / "cross_method.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(outdir / "cross_method.csv", "quantity,sup_norm_difference",
+               ((key, diff[key]) for key in ("L", "H", "F", "R", "control",
+                                             "control_match_fraction")))
     summary["cross_method"] = {k: float(v) for k, v in diff.items()}
     return max(code_d, code_i)
 
 
 def _run_convergence(config: RunConfig, outdir: Path, summary: dict) -> int:
-    grids = _parse_grids(config.run["study_grids"])
+    grids = _parse_list("study_grids", config.run["study_grids"])
     ref = (config.grid["Ne"], config.grid["Me"])
     rows = verify.convergence_study(config.params, grids, reference_grid=ref,
                                     fp_tol=config.solver["fp_tol"],
@@ -315,7 +251,7 @@ def _run_convergence(config: RunConfig, outdir: Path, summary: dict) -> int:
 
 
 def _run_sweep(config: RunConfig, outdir: Path, summary: dict) -> int:
-    pairs = _parse_pairs(config.run["sweep_pairs"])
+    pairs = _parse_list("sweep_pairs", config.run["sweep_pairs"])
     setup = build_setup(config.grid["N"], config.grid["M"])
     results = verify.control_effect_sweep(
         pairs, config.params, setup, fp_tol=config.solver["fp_tol"],
@@ -332,8 +268,8 @@ def _run_sweep(config: RunConfig, outdir: Path, summary: dict) -> int:
 
 
 _COMMANDS = {
-    "solve-direct": _run_direct,
-    "solve-indirect": _run_indirect,
+    "solve-direct": lambda *args: _direct(*args)[0],
+    "solve-indirect": lambda *args: _indirect(*args)[0],
     "compare": _run_compare,
     "convergence": _run_convergence,
     "sweep": _run_sweep,
@@ -373,9 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="sectioned key=value file")
-        for key in PARAM_KEYS:
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
-        for key in list(GRID_KEYS) + list(SOLVER_KEYS) + list(RUN_KEYS):
+        for key in _SECTION_OF:
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     return parser
 

@@ -332,7 +332,7 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     sweep.  A non-finite update of any member raises
     :class:`NonConvergenceError`.
     """
-    if tol <= 0.0 or max_iter < 1:
+    if not tol > 0.0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     phi = np.asarray(phi, dtype=float)
     B, (N, M) = len(phi), (setup.N, setup.M)

@@ -20,6 +20,11 @@ from .params import ModelParameters
 from .spectral import CollocationSetup
 
 RESIDUAL_SENTINEL = 1e6
+SHOOT_TOL = 1e-8  # defaults of solve_indirect and its sweeps, shared with the CLI
+SHOOT_MAX_ITER = 50
+RK4_STEPS = 400
+JAC_STEP = 1e-6  # forward-difference step of the Newton Jacobian columns
+MAX_DAMPING = 20  # step halvings tried before a Newton step is given up
 
 
 class IntegrationError(RuntimeError):
@@ -189,25 +194,24 @@ def _xi_at_inner(y, setup, params):
                                     {"P_H": PH, "P_F": PF}, R, params))
 
 
-def _integrate_with_control(y0, setup, params, n_steps, store=False):
+def _integrate_with_control(y0, setup, params, n_steps):
     """Forward sweep applying the bang-bang law at every grid point.
 
     The control is refreshed from the sign of the switching function at the
     start of each step and held constant across the RK4 stages.  Returns
-    (terminal y, time_grid, trajectory or None, phi samples, tie mask,
-    switching times).
+    (terminal y, time_grid, trajectory, phi samples, tie mask, switching
+    times).
     """
     grid = np.linspace(-1.0, 1.0, n_steps + 1)
     h = 2.0 / n_steps
     y = np.asarray(y0, dtype=float).copy()
-    traj = np.empty((grid.size, y.size)) if store else None
+    traj = np.empty((grid.size, y.size))
     phi_samples = np.empty(grid.size)
     tie_mask = np.zeros(grid.size, dtype=bool)
     switching = []
     phi_prev = 0.0
     xi_prev = None
-    if store:
-        traj[0] = y
+    traj[0] = y
     for n in range(grid.size):
         t = grid[n]
         xi = _xi_at_inner(y, setup, params)
@@ -224,8 +228,7 @@ def _integrate_with_control(y0, setup, params, n_steps, store=False):
         y = rk4_step(lambda tt, yy: ode_rhs(tt, yy, setup, params, phi), t, y, h)
         if not np.all(np.isfinite(y)):
             raise IntegrationError(float(grid[n + 1]))
-        if store:
-            traj[n + 1] = y
+        traj[n + 1] = y
     return y, grid, traj, phi_samples, tie_mask, switching
 
 
@@ -240,8 +243,22 @@ def _initial_state(s: ShootingVector, setup: CollocationSetup) -> np.ndarray:
     return y0
 
 
+def _shoot(s: ShootingVector, setup: CollocationSetup, params: ModelParameters,
+           n_steps: int):
+    """(residual, sweep) of :func:`shooting_residual`; the sweep is the return
+    value of :func:`_integrate_with_control`, or None with the sentinel."""
+    N = setup.N
+    try:
+        sweep = _integrate_with_control(_initial_state(s, setup), setup, params,
+                                        n_steps)
+    except (IntegrationError, model.OcclusionError):
+        return np.full(3 * N + 1, RESIDUAL_SENTINEL), None
+    yend = sweep[0]
+    return np.append(yend[3 * N:6 * N].reshape(3, N) @ setup.D0r, yend[6 * N + 1]), sweep
+
+
 def shooting_residual(s: ShootingVector, setup: CollocationSetup,
-                      params: ModelParameters, n_steps: int = 400) -> np.ndarray:
+                      params: ModelParameters, n_steps: int = RK4_STEPS) -> np.ndarray:
     """Terminal-condition mismatch for a trial shooting vector.
 
     Integrates forward from t = -1 and stacks the nodal terminal values of
@@ -249,34 +266,27 @@ def shooting_residual(s: ShootingVector, setup: CollocationSetup,
     large-residual sentinel if the integration blows up or hits occlusion,
     so the outer Newton solver can backtrack.
     """
-    N = setup.N
-    try:
-        y0 = _initial_state(s, setup)
-        yend, *_ = _integrate_with_control(y0, setup, params, n_steps)
-    except (IntegrationError, model.OcclusionError):
-        return np.full(3 * N + 1, RESIDUAL_SENTINEL)
-    return np.append(yend[3 * N:6 * N].reshape(3, N) @ setup.D0r, yend[6 * N + 1])
+    return _shoot(s, setup, params, n_steps)[0]
 
 
 def solve_indirect(setup: CollocationSetup, params: ModelParameters,
-                   tol: float = 1e-8, max_iter: int = 50,
-                   n_steps: int = 400, jac_step: float = 1e-6,
-                   max_damping: int = 20) -> AdjointSolution:
+                   tol: float = SHOOT_TOL, max_iter: int = SHOOT_MAX_ITER,
+                   n_steps: int = RK4_STEPS) -> AdjointSolution:
     """Shooting solve of the coupled state/adjoint system.
 
     Damped Newton with a column-wise finite-difference Jacobian drives the
-    terminal residual below ``tol`` in sup-norm; the converged initial data
-    is then re-integrated once to record the full trajectories and the
-    recovered bang-bang control.  On instability the RK4 step is halved
-    once (step count doubled) before giving up.
+    terminal residual below ``tol`` in sup-norm; the trajectories and the
+    recovered bang-bang control are those of the sweep that gave the
+    returned residual.  On instability the RK4 step is halved once (step
+    count doubled) before giving up.
     """
     N = setup.N
     dim = 3 * N + 1
     s = np.zeros(dim)
-    res = shooting_residual(ShootingVector(s), setup, params, n_steps)
+    res, sweep = _shoot(ShootingVector(s), setup, params, n_steps)
     if res[0] >= RESIDUAL_SENTINEL:
         n_steps *= 2
-        res = shooting_residual(ShootingVector(s), setup, params, n_steps)
+        res, sweep = _shoot(ShootingVector(s), setup, params, n_steps)
     best_norm = float(np.max(np.abs(res)))
     it = 0
     converged = best_norm < tol
@@ -285,9 +295,9 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
         J = np.empty((dim, dim))
         for j in range(dim):
             sp = s.copy()
-            sp[j] += jac_step
+            sp[j] += JAC_STEP
             rp = shooting_residual(ShootingVector(sp), setup, params, n_steps)
-            J[:, j] = (rp - res) / jac_step
+            J[:, j] = (rp - res) / JAC_STEP
         col_norms = np.linalg.norm(J, axis=0)
         bad = np.where(col_norms < 1e-14)[0]
         if bad.size:
@@ -298,12 +308,12 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
             raise SingularJacobianError(np.where(col_norms < 1e-10)[0]) from None
         lam = 1.0
         accepted = False
-        for _ in range(max_damping + 1):
+        for _ in range(MAX_DAMPING + 1):
             trial = s + lam * step
-            rt = shooting_residual(ShootingVector(trial), setup, params, n_steps)
+            rt, sweep_t = _shoot(ShootingVector(trial), setup, params, n_steps)
             norm_t = float(np.max(np.abs(rt)))
             if norm_t < best_norm:
-                s, res, best_norm = trial, rt, norm_t
+                s, res, best_norm, sweep = trial, rt, norm_t, sweep_t
                 accepted = True
                 break
             lam *= 0.5
@@ -312,9 +322,9 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
         converged = best_norm < tol
 
     sv = ShootingVector(s)
-    y0 = _initial_state(sv, setup)
-    yend, grid, traj, phi_samples, tie_mask, switching = _integrate_with_control(
-        y0, setup, params, n_steps, store=True)
+    if sweep is None:  # the sentinel: integrate again to raise its error
+        _integrate_with_control(_initial_state(sv, setup), setup, params, n_steps)
+    yend, grid, traj, phi_samples, tie_mask, switching = sweep
     return AdjointSolution(
         time_grid=grid,
         alpha_L=traj[:, 0:N], alpha_H=traj[:, N:2 * N], alpha_F=traj[:, 2 * N:3 * N],

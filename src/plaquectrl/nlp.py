@@ -16,6 +16,11 @@ from typing import Callable
 
 import numpy as np
 
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
+MAX_BACKTRACKS = 40  # step halvings before the line search stalls
+QP_MAX_ITER = 200  # active-set iterations of one QP subproblem
+QP_KKT_TOL = 1e-10  # projected KKT residual that ends a QP subproblem
+
 
 @dataclass
 class NlpOptions:
@@ -24,8 +29,6 @@ class NlpOptions:
     grad_step: float = 1e-5
     tol: float = 1e-6
     max_iter: int = 100
-    armijo_c: float = 1e-4
-    max_backtracks: int = 40
 
 
 @dataclass
@@ -49,7 +52,7 @@ class NlpProblem:
             raise ValueError("bounds must have shape (dimension,)")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
-        if self.options.grad_step <= 0.0:
+        if not self.options.grad_step > 0.0:
             raise ValueError("gradient step must be positive")
 
 
@@ -100,14 +103,14 @@ def fd_gradient(problem: NlpProblem, x, fx=None) -> np.ndarray:
                      where=width > 0.0)
 
 
-def qp_subproblem(H, g, lower, upper, max_iter=200, kkt_tol=1e-10) -> np.ndarray:
+def qp_subproblem(H, g, lower, upper) -> np.ndarray:
     """Minimize (1/2) d'Hd + g'd subject to lower <= d <= upper.
 
     H must be symmetric positive definite.  Primal active-set iteration: fix
     the working set, solve the free-variable equality system, step to the
     nearest blocking bound, and release bound variables whose multiplier has
     the wrong sign.  Terminates when the projected KKT residual is below
-    ``kkt_tol``.
+    ``QP_KKT_TOL``.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -119,7 +122,7 @@ def qp_subproblem(H, g, lower, upper, max_iter=200, kkt_tol=1e-10) -> np.ndarray
     active[d <= lower] = -1
     active[d >= upper] = 1
 
-    for _ in range(max_iter):
+    for _ in range(QP_MAX_ITER):
         free = active == 0
         grad = H @ d + g
         # Release the worst bound variable whose multiplier points inward.
@@ -130,9 +133,9 @@ def qp_subproblem(H, g, lower, upper, max_iter=200, kkt_tol=1e-10) -> np.ndarray
             sol = np.linalg.solve(H[np.ix_(idx, idx)],
                                   -(g[idx] + H[np.ix_(idx, ~free)] @ d[~free]))
             step[idx] = sol - d[idx]
-        if np.max(np.abs(step)) <= kkt_tol:
+        if np.max(np.abs(step)) <= QP_KKT_TOL:
             worst = int(np.argmin(lagr))
-            if lagr[worst] >= -kkt_tol:
+            if lagr[worst] >= -QP_KKT_TOL:
                 return d
             active[worst] = 0
             continue
@@ -220,10 +223,10 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
             break
         alpha = 1.0
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             xt = np.clip(x + alpha * d, problem.lower, problem.upper)
             ft = float(oracle(xt[None])[0])
-            if ft <= f + opts.armijo_c * alpha * slope:
+            if ft <= f + ARMIJO_C * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5

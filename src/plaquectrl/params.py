@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import astuple, dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class ModelParameters:
     Kbound: float = 1.0  # control upper bound
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("every parameter must be finite")
         for name in ("K1", "K2", "D", "M0", "L0", "H0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"parameter {name} must be strictly positive")

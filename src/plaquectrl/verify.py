@@ -64,21 +64,20 @@ def _field_evaluator(state, which):
 
 def convergence_study(params: ModelParameters, grid_list,
                       reference_grid=(16, 16), fp_tol=direct.FP_TOL,
-                      fp_max_iter=direct.FP_MAX_ITER, control=None):
+                      fp_max_iter=direct.FP_MAX_ITER):
     """Direct-method self-convergence against a fine reference grid.
 
-    Solves once on ``reference_grid`` and once per coarse grid with the same
-    (default zero) control, then reports E_inf and E_2 for L, H, F at the
-    coarse collocation nodes plus the objective gap and CPU seconds.  A row
-    whose solve did not converge is marked failed; if the reference solve did
-    not converge, every row is.
+    Solves once on ``reference_grid`` and once per coarse grid with the zero
+    control, then reports E_inf and E_2 for L, H, F at the coarse collocation
+    nodes plus the objective gap and CPU seconds.  A row whose solve did not
+    converge is marked failed; if the reference solve did not converge, every
+    row is.
     """
     Ne, Me = reference_grid
     if any(N >= Ne or M >= Me for (N, M) in grid_list):
         raise ValueError("reference grid must be strictly finer than every entry")
     ref_setup = build_setup(Ne, Me)
-    segs = np.zeros(Me) if control is None else np.asarray(control, dtype=float)
-    ref_control = direct.ControlVector(np.resize(segs, Me), params.Kbound)
+    ref_control = direct.ControlVector(np.zeros(Me), params.Kbound)
     ref_state = direct.fixed_point_solve(ref_control, ref_setup, params,
                                          tol=fp_tol, max_iter=fp_max_iter)
     ref_J = 1.0 - ref_state.final_radius() - params.eps
@@ -89,7 +88,7 @@ def convergence_study(params: ModelParameters, grid_list,
         try:
             direct.require_converged(ref_state, f"reference {Ne}x{Me}")
             setup = build_setup(N, M)
-            cv = direct.ControlVector(np.resize(segs, M), params.Kbound)
+            cv = direct.ControlVector(np.zeros(M), params.Kbound)
             state = direct.fixed_point_solve(cv, setup, params,
                                              tol=fp_tol, max_iter=fp_max_iter)
             direct.require_converged(state, f"{N}x{M}")

@@ -1,7 +1,10 @@
 """Config loading and end-to-end command runs of the CLI."""
 
+import argparse
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from plaquectrl import cli
@@ -49,6 +52,14 @@ class TestConfig:
             cli.load_config(overrides={"method": "magic"})
         with pytest.raises(cli.ConfigError):
             cli.load_config(overrides={"eps": "-0.5"})
+        # every key is converted by the type of its default, parameters included
+        bad = [{"k1": "abc"}, {"K1": "nan"}, {"fp_max_iter": "2.5"},
+               {"fp_tol": "nan"}, {"sqp_tol": "-1e-6"}, {"shoot_tol": "inf"},
+               {"grad_step": "0"}, {"rk4_steps": "1"}, {"study_grids": "2x"},
+               {"sweep_pairs": ","}]
+        for overrides in bad:
+            with pytest.raises(cli.ConfigError):
+                cli.load_config(overrides=overrides)
 
     def test_parameter_guard_is_surfaced(self):
         with pytest.raises(cli.ConfigError, match="delta"):
@@ -59,9 +70,55 @@ class TestConfig:
             cli.load_config("/nonexistent/run.cfg")
 
     def test_main_exit_code_on_bad_config(self, capsys):
-        code = cli.main(["solve-direct", "--N", "bogus"])
-        assert code == 2
-        assert "invalid input" in capsys.readouterr().err
+        for flags in (["--N", "bogus"], ["--k1", "abc"], ["--fp-tol", "nan"],
+                      ["--grad-step", "0"]):
+            code = cli.main(["solve-direct"] + flags)
+            assert code == 2, flags
+            assert "invalid input" in capsys.readouterr().err
+
+    def test_one_flag_per_setting(self, tmp_path):
+        keys = [k for section in cli.SECTIONS.values() for k in section]
+        assert list(cli.PARAM_KEYS) == [f.name for f in dataclasses.fields(ModelParameters)]
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for name, sp in sub.choices.items():
+            flags = [s for a in sp._actions for s in a.option_strings
+                     if s not in ("-h", "--help", "--config")]
+            assert flags == [f"--{k.replace('_', '-')}" for k in keys], name
+        code = cli.main(["convergence", "--output-dir", str(tmp_path),
+                         "--study-grids", "2x2", "--Ne", "3", "--Me", "3",
+                         "--fp-tol", "1e-9", "--L0", "0.012"])
+        assert code == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config["solver"]["fp_tol"] == 1e-9
+        assert config["grid"]["Ne"] == 3 and config["parameters"]["L0"] == 0.012
+        assert config["run"]["study_grids"] == "2x2"
+
+
+def _control_runs_loop(time_grid, phi):
+    """Reference: scan the samples for constant runs (start, end, value)."""
+    starts, ends, values = [], [], []
+    i, n = 0, len(phi)
+    while i < n:
+        j = i
+        while j + 1 < n and phi[j + 1] == phi[i]:
+            j += 1
+        starts.append(time_grid[i])
+        ends.append(time_grid[j] if j == n - 1 else time_grid[j + 1])
+        values.append(phi[i])
+        i = j + 1
+    return starts, ends, values
+
+
+def test_control_runs_match_the_loop():
+    rng = np.random.default_rng(7)
+    grid = np.linspace(-1.0, 1.0, 41)
+    for phi in [np.zeros(41), np.ones(41)] + [
+            rng.integers(0, 2, 41).astype(float) for _ in range(20)]:
+        got = cli._control_runs(grid, phi)
+        for a, b in zip(got, _control_runs_loop(grid, phi)):
+            assert list(a) == b
 
 
 def _run_main(tmp_path, command, extra=()):

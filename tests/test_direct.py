@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from plaquectrl import cli, direct, kernels, verify
+from plaquectrl import cli, direct, indirect, kernels, verify
 from plaquectrl.nlp import NlpOptions, NlpProblem, sqp_minimize
 from plaquectrl.params import ModelParameters
 from plaquectrl.spectral import build_setup
@@ -192,6 +192,12 @@ class TestFixedPoint:
             direct.fixed_point_solve(_zero_control(4), s, P, tol=0.0)
         with pytest.raises(ValueError):
             direct.fixed_point_solve(_zero_control(4), s, P, max_iter=0)
+
+    def test_nan_tolerance_rejected(self):
+        # a NaN tol once stopped every member after one pass as converged
+        with pytest.raises(ValueError):
+            direct.fixed_point_solve(_zero_control(8), build_setup(8, 8), P,
+                                     tol=np.nan)
 
 
 class TestSolveDirect:
@@ -420,6 +426,18 @@ class TestIterationCap:
                 default(verify.control_effect_sweep, "fp_tol"),
                 cli.SOLVER_KEYS["fp_tol"]]
         assert tols == [direct.FP_TOL] * len(tols)
+        nlp = NlpOptions()
+        assert [cli.SOLVER_KEYS[k] for k in ("sqp_tol", "sqp_max_iter", "grad_step")] \
+            == [nlp.tol, nlp.max_iter, nlp.grad_step]
+        shoot = [default(indirect.solve_indirect, "tol"),
+                 default(indirect.solve_indirect, "max_iter"),
+                 default(indirect.solve_indirect, "n_steps"),
+                 default(indirect.shooting_residual, "n_steps")]
+        assert [cli.SOLVER_KEYS[k] for k in
+                ("shoot_tol", "shoot_max_iter", "rk4_steps", "rk4_steps")] == shoot
+        assert set(cli.SOLVER_KEYS) == {"fp_tol", "fp_max_iter", "sqp_tol",
+                                        "sqp_max_iter", "grad_step", "shoot_tol",
+                                        "shoot_max_iter", "rk4_steps"}
 
     def test_slow_contraction_converges_with_library_defaults(self):
         # 51 passes are needed here; a cap of 50 raised on the first oracle call

@@ -138,6 +138,30 @@ class TestSolveIndirect:
         on_bound = (sol.phi == 0.0) | (sol.phi == P.Kbound)
         assert np.all(on_bound)
 
+    def test_returned_vector_is_integrated_once(self, monkeypatch):
+        sweeps = []
+        integrate = indirect._integrate_with_control
+
+        def counted(*args):
+            sweeps.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(indirect, "_integrate_with_control", counted)
+        sol = indirect.solve_indirect(build_setup(4, 4), P.decoupled(), n_steps=100)
+        assert sol.newton_iterations == 0 and len(sweeps) == 1
+        # the kept trajectory is the one a fresh sweep of the vector gives
+        y0 = indirect._initial_state(sol.shooting, sol.setup)
+        _, grid, traj, phi, _, _ = integrate(y0, sol.setup, P.decoupled(), 100)
+        assert np.array_equal(grid, sol.time_grid) and np.array_equal(phi, sol.phi)
+        assert np.array_equal(traj[:, 6 * 4], sol.R)
+
+    def test_sentinel_start_surfaces_its_integration_error(self):
+        # both sweeps of the zero vector blow up; with no Newton step left the
+        # failure is raised, not returned as a trajectory
+        with np.errstate(all="ignore"), pytest.raises(indirect.IntegrationError):
+            indirect.solve_indirect(build_setup(4, 4), P.with_overrides(eps=0.999),
+                                    max_iter=0, n_steps=50)
+
     def test_trajectory_shapes(self):
         s = build_setup(4, 4)
         sol = indirect.solve_indirect(s, P, n_steps=100)

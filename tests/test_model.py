@@ -20,6 +20,14 @@ class TestParameters:
         with pytest.raises(ValueError, match="delta"):
             ModelParameters(delta=-0.005, H0=0.005)
 
+    def test_non_finite_rejected(self):
+        # K1 = nan passed every sign check, since nan <= 0 is false
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParameters(K1=value)
+        with pytest.raises(ValueError, match="finite"):
+            ModelParameters(T=np.nan)
+
     def test_decoupled_zeroes_every_coupling_rate(self):
         d = P.decoupled()
         assert d.k1 == d.r1 == d.r2 == d.lam == d.mu1 == d.mu2 == 0.0

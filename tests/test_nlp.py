@@ -65,6 +65,8 @@ class TestFdGradient:
             _problem(lambda x: 0.0, [1.0], [0.0])
         with pytest.raises(ValueError):
             _problem(lambda x: 0.0, [0.0], [1.0], grad_step=0.0)
+        with pytest.raises(ValueError):
+            _problem(lambda x: 0.0, [0.0], [1.0], grad_step=np.nan)
 
 
 class TestQpSubproblem:
