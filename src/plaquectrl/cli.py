@@ -136,14 +136,19 @@ def load_config(path=None, overrides=None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from None
     grid, solver, run = resolved["grid"], resolved["solver"], resolved["run"]
-    for key, low in (("N", 1), ("M", 1), ("fp_max_iter", 1), ("rk4_steps", 2)):
+    for key, low in (("N", 1), ("M", 1), ("fp_max_iter", 1), ("rk4_steps", 2),
+                     ("sqp_max_iter", 0), ("shoot_max_iter", 0)):
         if {**grid, **solver}[key] < low:
             raise ConfigError(f"{key} must be >= {low}")
     for key in ("fp_tol", "sqp_tol", "shoot_tol", "grad_step"):
         if not 0.0 < solver[key] < math.inf:
             raise ConfigError(f"{key} must be finite and > 0")
-    for key in _LISTS:
-        _parse_list(key, run[key])
+    _parse_list("sweep_pairs", run["sweep_pairs"])
+    Ne, Me = grid["Ne"], grid["Me"]
+    for N, M in _parse_list("study_grids", run["study_grids"]):
+        if not (1 <= N < Ne and 1 <= M < Me):
+            raise ConfigError(f"study grid {N}x{M} is not strictly coarser than "
+                              f"the reference {Ne}x{Me}")
     return RunConfig(params=params, grid=grid, solver=solver, run=run)
 
 
@@ -243,7 +248,7 @@ def _run_convergence(config: RunConfig, outdir: Path, summary: dict) -> int:
     (outdir / "convergence.csv").write_text(verify.study_csv(rows))
     (outdir / "convergence.txt").write_text(verify.study_table(rows, config.params))
     summary["convergence"] = [
-        {"N": r.N, "M": r.M, "failed": r.failed,
+        {"N": r.N, "M": r.M, "failed": r.failed, "cpu_seconds": r.cpu_seconds,
          "Einf_L": None if r.failed else r.Einf["L"]}
         for r in rows
     ]

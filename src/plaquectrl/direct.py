@@ -4,6 +4,9 @@ Each fixed-point pass freezes the previous iterate and solves the square
 space-time collocation systems (one operator shared by L and H, one for F)
 for the new coefficient matrices, updates the velocity at every time node in
 one solve, and advances the free boundary by a collocated ODE in time.  The
+fields travel as one array, L, H, F stacked as in :mod:`plaquectrl.model`,
+and each operator as the (diffusion g1, drift G2) pair that
+:func:`kernels.eval_state_grids` returns for it.  The
 fixed point runs on a batch of nodal controls at once
 (:func:`fixed_point_batch`); a single solve is a batch of one.  The scalar
 objective 1 - R(1) - eps over piecewise-constant controls is then handed to
@@ -77,10 +80,10 @@ def require_converged(state, what):
 class SingularOperatorError(np.linalg.LinAlgError):
     """Collocation operator is singular; carries a condition estimate."""
 
-    def __init__(self, kind: str, cond: float):
-        self.kind = kind
+    def __init__(self, name: str, cond: float):
+        self.name = name
         self.cond = cond
-        super().__init__(f"singular {kind} collocation operator (cond ~ {cond:.3e})")
+        super().__init__(f"singular {name} collocation operator (cond ~ {cond:.3e})")
 
 
 @dataclass(frozen=True)
@@ -120,14 +123,12 @@ class ControlVector:
 class StateSolution:
     """Converged (or best-effort) fields of one fixed-point solve.
 
-    Coefficient matrices are space-basis x time-basis; ``v_field`` holds
-    nodal velocity values per time node, with the boundary trace and slope
-    at rho = -1 alongside.
+    ``C`` (3, N, M) stacks the space-basis x time-basis coefficient matrices
+    of L, H and F; ``v_field`` holds nodal velocity values per time node,
+    with the boundary trace and slope at rho = -1 alongside.
     """
 
-    C_L: np.ndarray
-    C_H: np.ndarray
-    C_F: np.ndarray
+    C: np.ndarray
     C_R: np.ndarray
     v_field: np.ndarray
     v_inner: np.ndarray
@@ -139,8 +140,7 @@ class StateSolution:
 
     def field_nodes(self, which: str) -> np.ndarray:
         """Nodal values (N, M) of L, H or F."""
-        C = {"L": self.C_L, "H": self.C_H, "F": self.C_F}[which]
-        return self.setup.field_values(C)
+        return self.setup.field_values(self.C[model.FIELDS.index(which)])
 
     def radius(self, t) -> np.ndarray:
         """Transformed free-boundary R at arbitrary times."""
@@ -153,32 +153,22 @@ class StateSolution:
         return float(self.C_R @ self.setup.time_at_p1)
 
 
-def _coefficients(kind, grids):
-    """Diffusion coefficient g1 (M,) and drift coefficient G2 (N, M) of a field."""
-    G12, G32, G11, G31 = grids[3:]
-    if kind in ("L", "H"):
-        return G11, G12
-    if kind == "F":
-        return G31, G32
-    raise ValueError(f"unknown field kind {kind!r}")
-
-
-def _apply_operator(kind, grids, setup, params, C):
-    """The collocation operator of field ``kind`` on a batch C (..., N, M).
+def _apply_operator(g1, G2, setup, params, C):
+    """The collocation operator with diffusion g1 and drift G2 on a batch C (..., N, M).
 
     With c = 2/T it maps C to c D0r' C D1t + G2 o (D1r' C D0t) - (D2r' C D0t) diag(g1).
     """
-    g1, G2 = _coefficients(kind, grids)
     time, drift, diffusion = setup.operator_terms(C)
     return (2.0 / params.T) * time + G2 * drift - diffusion * g1
 
 
-def assemble_operator(kind: str, grids, setup: CollocationSetup,
+def assemble_operator(g1, G2, setup: CollocationSetup,
                       params: ModelParameters) -> np.ndarray:
-    """Square (N*M) collocation operator for field L, H or F.
+    """Square (N*M) collocation operator with diffusion g1 (M,) and drift G2 (N, M).
 
-    ``grids`` is the tuple returned by :func:`kernels.eval_state_grids` at
-    the frozen iterate.  Rows/columns are flattened row-major over
+    (g1, G2) is one of the pairs returned by
+    :func:`kernels.eval_state_grids` at the frozen iterate: the L/H operator
+    or the F operator.  Rows/columns are flattened row-major over
     (space index, time index).  With c = 2/T this is
     c (D0r' x D1t') - g1 . (D2r' x D0t') + G2 . (D1r' x D0t'): the setup's
     :attr:`~plaquectrl.spectral.CollocationSetup.operator_matrices`, the
@@ -186,7 +176,6 @@ def assemble_operator(kind: str, grids, setup: CollocationSetup,
     scaling their rows.  Grids of a batch of iterates, G2 (B, N, M) and
     g1 (B, 1, M), give the B operators (B, n, n).
     """
-    g1, G2 = _coefficients(kind, grids)
     time, drift, diffusion = setup.operator_matrices
     rows = np.shape(G2)[:-2] + (setup.N * setup.M, 1)
     A = np.reshape(G2, rows) * drift
@@ -195,29 +184,30 @@ def assemble_operator(kind: str, grids, setup: CollocationSetup,
     return A
 
 
-def _solve_fields(kind, grids, setup, params, sources):
-    """Coefficient matrices (B, k, N, M) for k (N, M) sources per batch member.
+def _solve_fields(g1, G2, setup, params, sources, name):
+    """Coefficient matrices (k, B, N, M) for sources (k, B, N, M), fields first.
 
-    ``grids`` carry the member axis B.  At or below ``DENSE_MAX_UNKNOWNS``
-    unknowns the B operators are assembled and solved by one batched dense
-    LU; above it each member's sources are solved matrix-free.
+    g1 (B, 1, M) and G2 (B, N, M) carry the member axis B; ``name`` names
+    the system in errors.  At or below ``DENSE_MAX_UNKNOWNS`` unknowns the B
+    operators are assembled and solved by one batched dense LU; above it
+    each member's sources are solved matrix-free.
     """
     if setup.N * setup.M > DENSE_MAX_UNKNOWNS:
-        return np.stack([
-            _solve_matrix_free(kind, [g[b] for g in grids], setup, params, src)
-            for b, src in enumerate(sources)])
-    A = assemble_operator(kind, grids, setup, params)
-    B, k = sources.shape[:2]
+        return np.stack([_solve_matrix_free(g1[b], G2[b], setup, params,
+                                            sources[:, b], name)
+                         for b in range(len(G2))], axis=1)
+    A = assemble_operator(g1, G2, setup, params)
+    k, B = sources.shape[:2]
     try:
-        sol = np.linalg.solve(A, sources.reshape(B, k, -1).transpose(0, 2, 1))
+        sol = np.linalg.solve(A, sources.reshape(k, B, -1).transpose(1, 2, 0))
     except np.linalg.LinAlgError:
-        raise SingularOperatorError(kind, float(np.max(np.linalg.cond(A)))) from None
+        raise SingularOperatorError(name, float(np.max(np.linalg.cond(A)))) from None
     if not np.all(np.isfinite(sol)):
-        raise SingularOperatorError(kind, float(np.max(np.linalg.cond(A))))
-    return sol.transpose(0, 2, 1).reshape(sources.shape)
+        raise SingularOperatorError(name, float(np.max(np.linalg.cond(A))))
+    return sol.transpose(2, 0, 1).reshape(sources.shape)
 
 
-def _solve_matrix_free(kind, grids, setup, params, sources):
+def _solve_matrix_free(g1, G2, setup, params, sources, name):
     """:func:`_solve_fields` by preconditioned GMRES, never forming the operator.
 
     GMRES applies :func:`_apply_operator`.  In W = C D0t, with
@@ -226,9 +216,9 @@ def _solve_matrix_free(kind, grids, setup, params, sources):
     P W + W B = (c D0r')^-1 R diag(d), P = (c D0r')^-1 (diag(a) D1r' - D2r'),
     B = K diag(d).  Bartels-Stewart on real Schur factors of P and B,
     computed once per operator, solves it (LAPACK dtrsyl); that solve is the
-    preconditioner.  D0r'^-1, D0t^-1 and K come from the setup.
+    preconditioner.  D0r'^-1, D0t^-1 and K come from the setup.  ``sources``
+    is (k, N, M) and so is the result.
     """
-    g1, G2 = _coefficients(kind, grids)
     N, M = setup.N, setup.M
     c = 2.0 / params.T
     d = 1.0 / np.ravel(g1)
@@ -243,13 +233,13 @@ def _solve_matrix_free(kind, grids, setup, params, sources):
         return (U @ Y @ to_coeffs).ravel() / scale
 
     def apply(x):
-        return _apply_operator(kind, grids, setup, params, x.reshape(N, M)).ravel()
+        return _apply_operator(g1, G2, setup, params, x.reshape(N, M)).ravel()
 
-    return np.stack([_gmres(apply, precondition, b.ravel(), kind).reshape(N, M)
+    return np.stack([_gmres(apply, precondition, b.ravel(), name).reshape(N, M)
                      for b in sources])
 
 
-def _gmres(apply, precondition, b, kind):
+def _gmres(apply, precondition, b, name):
     """x with ||b - A x|| <= GMRES_RTOL ||b|| by restarted, right-preconditioned GMRES.
 
     ``apply`` is x -> A x and ``precondition`` r -> M^-1 r (Saad & Schultz,
@@ -267,7 +257,7 @@ def _gmres(apply, precondition, b, kind):
     while not (beta := np.linalg.norm(r)) <= target:
         if done >= GMRES_MAX_ITER or not np.isfinite(beta):
             raise NonConvergenceError(
-                f"GMRES on the {kind} collocation system stopped at relative "
+                f"GMRES on the {name} collocation system stopped at relative "
                 f"residual {beta / np.linalg.norm(b):.3e} after {done} iterations")
         m = min(GMRES_RESTART, GMRES_MAX_ITER - done)
         V = np.zeros((m + 1, b.size))
@@ -353,7 +343,7 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
         """Record the members not in ``keep`` as states and drop them."""
         for b in np.flatnonzero(~keep):
             states[member[b]] = StateSolution(
-                *C[b].copy(), C_R=C_R[b].copy(), v_field=v_field[b].copy(),
+                C=C[b].copy(), C_R=C_R[b].copy(), v_field=v_field[b].copy(),
                 v_inner=v_inner[b].copy(), dv_inner=dv_inner[b].copy(),
                 residual_history=history[member[b]], converged=converged,
                 iterations=iterations, setup=setup)
@@ -361,13 +351,12 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
                                   dv_inner, last, omega, phi))
 
     for it in range(1, max_iter + 1):
-        grids = kernels.eval_state_grids(setup.rho, Rt[:, None], v_inner[:, None],
-                                         v_field, *nodal.transpose(1, 0, 2, 3),
-                                         phi[:, None], params)
-        C_new = np.concatenate([
-            _solve_fields("L", grids, setup, params, np.stack(grids[:2], axis=1)),
-            _solve_fields("F", grids, setup, params, grids[2][:, None]),
-        ], axis=1)
+        S, LH, F = kernels.eval_state_grids(setup.rho, Rt[:, None], v_inner[:, None],
+                                            v_field, nodal.swapaxes(0, 1),
+                                            phi[:, None], params)
+        C_new = np.concatenate([_solve_fields(*LH, setup, params, S[:2], "L"),
+                                _solve_fields(*F, setup, params, S[2:], "F")]
+                               ).swapaxes(0, 1)
         # One row product per member, never one product over the batch, so
         # that no member's rounding depends on the batch it is in.
         C_R_new = (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]
@@ -387,7 +376,7 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
         nodal = setup.field_values(C)
         Rt = (C_R[:, None] @ setup.D0t)[:, 0]
         v_field, v_inner, dv_inner = model.velocity_solve(
-            Rt[:, None], dict(zip("LHF", nodal.transpose(1, 0, 2, 3))), params, setup)
+            Rt[:, None], nodal.swapaxes(0, 1), params, setup)
         moving = delta >= tol
         if not np.all(moving):
             (member, C, C_R, nodal, Rt, v_field, v_inner, dv_inner, last, omega,

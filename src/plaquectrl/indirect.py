@@ -7,6 +7,8 @@ per spatial collocation node for each adjoint field, plus the boundary
 adjoint) is found by Newton iteration on the terminal-condition residual;
 the inner initial-value problems are integrated with classical RK4 and the
 bang-bang control is recovered from the switching function during the sweep.
+The six coefficient blocks L, H, F, P_L, P_H, P_F are one (6, N) array per
+time, whose halves are the model's stacked state X and adjoints P.
 """
 
 from __future__ import annotations
@@ -68,12 +70,7 @@ class AdjointSolution:
     """Full trajectories of one converged (or best-effort) shooting solve."""
 
     time_grid: np.ndarray
-    alpha_L: np.ndarray  # (steps+1, N) state coefficient trajectories
-    alpha_H: np.ndarray
-    alpha_F: np.ndarray
-    beta_PL: np.ndarray  # adjoint coefficient trajectories
-    beta_PH: np.ndarray
-    beta_PF: np.ndarray
+    blocks: np.ndarray  # (steps+1, 6, N) coefficients of L, H, F, P_L, P_H, P_F
     R: np.ndarray
     P_R: np.ndarray
     phi: np.ndarray  # recovered bang-bang control samples on time_grid
@@ -87,10 +84,8 @@ class AdjointSolution:
 
     def field_nodes(self, which: str) -> np.ndarray:
         """Nodal trajectory (steps+1, N) of one state or adjoint field."""
-        traj = {"L": self.alpha_L, "H": self.alpha_H, "F": self.alpha_F,
-                "P_L": self.beta_PL, "P_H": self.beta_PH,
-                "P_F": self.beta_PF}[which]
-        return traj @ self.setup.D0r
+        k = (model.FIELDS + model.ADJOINTS).index(which)
+        return self.blocks[:, k] @ self.setup.D0r
 
 
 def ode_rhs(t, y, setup: CollocationSetup, params: ModelParameters,
@@ -112,27 +107,17 @@ def ode_rhs(t, y, setup: CollocationSetup, params: ModelParameters,
     blocks = y[:6 * N].reshape(6, N)
     values, slopes, curvatures = (blocks @ setup.D0r, blocks @ setup.D1r,
                                   blocks @ setup.D2r)
-    fields = dict(zip("LHF", values[:3]))
-    v_nodes, v_inner, dv_inner, dv_nodes = model.velocity_solve(
-        R, fields, p, setup, return_slope=True)
-    fields["v"] = v_nodes
-    adjoints = dict(zip(("P_L", "P_H", "P_F"), values[3:]))
-    adjoints["P_v"] = model.adjoint_velocity_solve(R, fields, values[5],
-                                                   slopes[2], p, setup)
-
-    g11 = model._coeff("g11", 0.0, R, 0.0, 0.0, p)
-    g31 = model._coeff("g31", 0.0, R, 0.0, 0.0, p)
-    g12 = model._coeff("g12", rho, R, v_inner, v_nodes, p)
-    g32 = model._coeff("g32", rho, R, v_inner, v_nodes, p)
-    g42 = model._coeff("g42", rho, R, v_inner, v_nodes, p)
-    g62 = model._coeff("g62", rho, R, v_inner, v_nodes, p, F=values[2],
-                       dv_drho=dv_nodes, dfv_dF=model.fv_dF(rho, R, fields, p))
+    X, P = values[:3], values[3:]
+    v, v_inner, dv_inner, dv = model.velocity_solve(R, X, p, setup, return_slope=True)
+    Pv = model.adjoint_velocity_solve(R, X, v, P, slopes[:3], p, setup)
+    (g11, g12), (g31, g32) = model.coeff(rho, R, v_inner, v, p)
+    g42, g62 = model.adjoint_drift(rho, R, X, v_inner, v, dv, p)
     # States:   (2/T) M a' = F_S + G1 (D2' a) - G2 (D1' a);
     # adjoints: (2/T) M b' = F_C - G1 (D2' b) - G2adj (D1' b).
     G1 = np.array([g11, g11, g31, -g11, -g11, -g31])[:, None]
     G2 = np.stack([g12, g12, g32, g42, g42, g62])
-    sources = np.concatenate([model.rhs(rho, R, v_inner, fields, phi, p),
-                              model.adjoint_rhs(rho, R, fields, adjoints, phi, p)])
+    sources = np.concatenate([model.rhs(rho, R, v_inner, X, v, phi, p),
+                              model.adjoint_rhs(rho, R, X, v, P, Pv, phi, p)])
     half_T = p.T / 2.0
     dy = np.empty_like(y)
     dy[:6 * N] = half_T * setup.solve_space_values(
@@ -189,9 +174,8 @@ def _xi_at_inner(y, setup, params):
     N = setup.N
     R = y[6 * N]
     model._check_occlusion(R, params)
-    H, F, PH, PF = (y[k * N:(k + 1) * N] @ setup.space_at_m1 for k in (1, 2, 4, 5))
-    return float(model.switching_xi(-1.0, {"H": H, "F": F},
-                                    {"P_H": PH, "P_F": PF}, R, params))
+    X, P = y[:6 * N].reshape(2, 3, N) @ setup.space_at_m1
+    return float(model.switching_xi(-1.0, R, X, 0.0, P, params))
 
 
 def _integrate_with_control(y0, setup, params, n_steps):
@@ -284,9 +268,12 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
     dim = 3 * N + 1
     s = np.zeros(dim)
     res, sweep = _shoot(ShootingVector(s), setup, params, n_steps)
-    if res[0] >= RESIDUAL_SENTINEL:
+    if sweep is None:
         n_steps *= 2
         res, sweep = _shoot(ShootingVector(s), setup, params, n_steps)
+    if sweep is None:  # the sentinel: integrate again to raise its error
+        _integrate_with_control(_initial_state(ShootingVector(s), setup), setup,
+                                params, n_steps)
     best_norm = float(np.max(np.abs(res)))
     it = 0
     converged = best_norm < tol
@@ -312,7 +299,7 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
             trial = s + lam * step
             rt, sweep_t = _shoot(ShootingVector(trial), setup, params, n_steps)
             norm_t = float(np.max(np.abs(rt)))
-            if norm_t < best_norm:
+            if sweep_t is not None and norm_t < best_norm:
                 s, res, best_norm, sweep = trial, rt, norm_t, sweep_t
                 accepted = True
                 break
@@ -321,16 +308,10 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
             break
         converged = best_norm < tol
 
-    sv = ShootingVector(s)
-    if sweep is None:  # the sentinel: integrate again to raise its error
-        _integrate_with_control(_initial_state(sv, setup), setup, params, n_steps)
     yend, grid, traj, phi_samples, tie_mask, switching = sweep
     return AdjointSolution(
-        time_grid=grid,
-        alpha_L=traj[:, 0:N], alpha_H=traj[:, N:2 * N], alpha_F=traj[:, 2 * N:3 * N],
-        beta_PL=traj[:, 3 * N:4 * N], beta_PH=traj[:, 4 * N:5 * N],
-        beta_PF=traj[:, 5 * N:6 * N],
+        time_grid=grid, blocks=traj[:, :6 * N].reshape(-1, 6, N),
         R=traj[:, 6 * N], P_R=traj[:, 6 * N + 1],
         phi=phi_samples, switching_times=switching, tie_break_samples=tie_mask,
-        shooting=sv, residual_norm=best_norm, newton_iterations=it,
+        shooting=ShootingVector(s), residual_norm=best_norm, newton_iterations=it,
         converged=converged, setup=setup)

@@ -7,9 +7,15 @@ boundary conditions at the inner edge to homogeneous Neumann ones.
 
 All formulas accept scalars or numpy arrays elementwise.  ``R`` throughout
 is the shifted radius (physical inner radius minus ``eps``), so the physical
-radius is ``R + eps``.  The first-order velocity and P_v solves read their
-collocation matrices from the :class:`~plaquectrl.spectral.CollocationSetup`;
-no per-grid state is kept here.
+radius is ``R + eps``.  The transformed state is one array X stacked on its
+first axis in the order of ``FIELDS``, the adjoints one array P in the order
+of ``ADJOINTS``; the velocity v and its adjoint P_v are arguments of their
+own.  Only this module knows which coefficient belongs to which field:
+:func:`coeff` returns the (diffusion, drift) pair of the operator that L and
+H share and of F's operator, :func:`adjoint_drift` the drifts of the adjoint
+operators.  The first-order velocity and P_v solves read their collocation
+matrices from the :class:`~plaquectrl.spectral.CollocationSetup`; no
+per-grid state is kept here.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from .params import ModelParameters
 from .spectral import CollocationSetup
 
 DENOM_FLOOR = 1e-12
+FIELDS = ("L", "H", "F")  # first-axis order of the state X
+ADJOINTS = ("P_L", "P_H", "P_F")  # first-axis order of the adjoints P
 
 
 class OcclusionError(ValueError):
@@ -80,102 +88,95 @@ def exponent_sz(rho, R, v, params: ModelParameters):
 
 
 def _check_occlusion(R, params):
-    if np.any(np.asarray(R) + params.eps >= 1.0):
+    if (np.asarray(R) + params.eps >= 1.0).any():
         raise OcclusionError(f"R + eps >= 1 (R = {R!r}, eps = {params.eps})")
 
 
 def _guard(name, value):
-    if np.any(np.abs(value) < DENOM_FLOOR):
+    if (np.abs(value) < DENOM_FLOOR).any():
         raise DenominatorError(name, value)
     return value
 
 
-def coeff(kind, rho, R, v_inner, v_local, params: ModelParameters, *,
-          F=None, dv_drho=None, dfv_dF=None):
-    """A named PDE coefficient evaluated per its printed formula.
-
-    ``kind``: one of g11, g12, g31, g32, g42, g62.  ``v_inner`` is the
-    velocity at rho = -1, ``v_local`` the velocity at the evaluation point.
-    g62 additionally needs the local foam-cell value ``F``, the velocity
-    slope ``dv_drho`` and the derivative of the velocity source with respect
-    to F, ``dfv_dF``.  Raises :class:`OcclusionError` if R + eps >= 1.
-    """
+def _frame(rho, R, v_inner, params):
+    """Checks R for occlusion; returns 1 - (R + eps), q (1 - (R + eps)) and the
+    moving-frame drift v(-1) (rho + 1) / (1 - (R + eps)) shared by every drift."""
     _check_occlusion(R, params)
-    return _coeff(kind, rho, R, v_inner, v_local, params, F=F, dv_drho=dv_drho,
-                  dfv_dF=dfv_dF)
-
-
-def _coeff(kind, rho, R, v_inner, v_local, params, *, F=None, dv_drho=None,
-           dfv_dF=None):
-    """:func:`coeff` for callers that have already checked R for occlusion."""
-    p = params
-    Rb = R + p.eps
+    Rb = R + params.eps
     om = 1.0 - Rb
     q = (rho + 1.0) + Rb * (1.0 - rho)
-    if kind == "g11":
-        return 4.0 / om**2
-    if kind == "g31":
-        return 4.0 * p.D / om**2
-    if kind == "g12":
-        return -8.0 / (q * om) - v_inner * (rho + 1.0) / om + 2.0 * (1.0 - rho) * p.alpha / om
-    if kind == "g32":
-        return (
-            -8.0 * p.D / (q * om)
-            - v_inner * (rho + 1.0) / om
-            + 2.0 * p.D * (1.0 - rho) * p.alpha / om
-            + 2.0 * v_local / om
-        )
-    if kind == "g42":
-        return -8.0 / (q * om) - v_inner * (rho + 1.0) / om - 2.0 * (1.0 - rho) * p.alpha / om
-    if kind == "g62":
-        if F is None or dv_drho is None or dfv_dF is None:
-            raise ValueError("g62 needs F, dv_drho and dfv_dF")
-        oneR = 1.0 - R
-        return (
-            -8.0 * p.D / (q * om)
-            - v_inner * (rho + 1.0) / om
-            - 3.0 * (rho**2 - 2.0 * rho - 1.0) * (v_local + p.D * p.beta) / oneR
-            - (1.0 - rho) ** 2 * (1.0 + rho) / oneR * dv_drho
-            - 2.0 * F * dfv_dF / oneR
-        )
-    raise ValueError(f"unknown coefficient kind {kind!r}")
+    return om, q * om, v_inner * (rho + 1.0) / om
 
 
-def _physical_state(rho, R, fields, p):
-    """exp(sl), exp(sf) and the physical L, H, F rebuilt from transformed fields."""
+def coeff(rho, R, v_inner, v_local, params: ModelParameters):
+    """Diffusion g1 and drift G2 of the two state operators, per their printed formulas.
+
+    Returns ``((g11, g12), (g31, g32))``: the pair of the operator that L and
+    H share, then the pair of F's.  ``v_inner`` is the velocity at
+    rho = -1, ``v_local`` the velocity at the evaluation point; g11 and g31
+    do not depend on rho.  Raises :class:`OcclusionError` if R + eps >= 1.
+    """
+    p = params
+    om, qom, frame = _frame(rho, R, v_inner, p)
+    g12 = -8.0 / qom - frame + 2.0 * (1.0 - rho) * p.alpha / om
+    g32 = (-8.0 * p.D / qom - frame + 2.0 * p.D * (1.0 - rho) * p.alpha / om
+           + 2.0 * v_local / om)
+    return (4.0 / om**2, g12), (4.0 * p.D / om**2, g32)
+
+
+def adjoint_drift(rho, R, X, v_inner, v, dv, params: ModelParameters):
+    """Drifts (G42, G62) of the adjoint operators: G42 of P_L and P_H, G62 of P_F.
+
+    Their diffusions are those of :func:`coeff`, negated.  ``v`` and ``dv``
+    are the velocity and its slope dv/drho at ``rho``; G62 also carries the
+    local F and the derivative of the velocity source with respect to it.
+    Raises :class:`OcclusionError` if R + eps >= 1.
+    """
+    p = params
+    om, qom, frame = _frame(rho, R, v_inner, p)
+    oneR = 1.0 - R
+    g42 = -8.0 / qom - frame - 2.0 * (1.0 - rho) * p.alpha / om
+    g62 = (-8.0 * p.D / qom - frame
+           - 3.0 * (rho**2 - 2.0 * rho - 1.0) * (v + p.D * p.beta) / oneR
+           - (1.0 - rho) ** 2 * (1.0 + rho) / oneR * dv
+           - 2.0 * X[2] * fv_dF(rho, R, X, p) / oneR)
+    return g42, g62
+
+
+def _physical_state(rho, R, X, p):
+    """exp(sl), exp(sf) and the physical L, H, F rebuilt from the transformed X."""
     esl = np.exp(exponent_sl(rho, R, p))
     esf = np.exp(exponent_sf(rho, R, p))
-    return (esl, esf, esl * fields.get("L", 0.0) + p.L0,
-            esl * fields.get("H", 0.0) + p.H0, esf * fields.get("F", 0.0))
+    return esl, esf, esl * X[0] + p.L0, esl * X[1] + p.H0, esf * X[2]
 
 
-def rhs(rho, R, v_inner, fields, phi, params: ModelParameters):
+def rhs(rho, R, v_inner, X, v, phi, params: ModelParameters):
     """The transformed state sources f_L, f_H and f_F, stacked on a new first axis.
 
-    ``fields`` maps "L", "H", "F", "v" to point values (missing ones are 0).
+    ``X`` stacks the L, H, F point values and ``v`` is the local velocity.
     ``phi`` is the control value in force.  Saturation denominators below
     ``DENOM_FLOOR`` raise :class:`DenominatorError` naming the offending term.
     """
     _check_occlusion(R, params)
     p = params
-    L, H, F, v = (fields.get(k, 0.0) for k in "LHFv")
+    L, H, F = X
     Rb = R + p.eps
     om = 1.0 - Rb
     w = (1.0 - rho) ** 2
     q = (rho + 1.0) + Rb * (1.0 - rho)
-    esl, esf, Lh, Hh, Fh = _physical_state(rho, R, fields, p)
+    esl, esf, Lh, Hh, Fh = _physical_state(rho, R, X, p)
     emsl = 1.0 / esl
     Lden = _guard("K1 + exp(sl)L + L0", p.K1 + Lh)
     Fden = _guard("K2 + exp(sf)F", p.K2 + Fh)
     Hden = _guard("delta + exp(sl)H + H0", p.delta + Hh)
 
-    def transport(X, c, D):
+    def transport(U, c, D):
         """Drift and transform terms of a field with rate c and diffusivity D."""
-        return (c * v_inner * w / (4.0 * p.T) * X
-                + v_inner * (rho + 1.0) * (1.0 - rho) * c / 4.0 * X
-                - 2.0 * c * D * (1.0 - rho) / q * X
-                + D * c / om * X
-                + c**2 * D * w / 4.0 * X)
+        return (c * v_inner * w / (4.0 * p.T) * U
+                + v_inner * (rho + 1.0) * (1.0 - rho) * c / 4.0 * U
+                - 2.0 * c * D * (1.0 - rho) / q * U
+                + D * c / om * U
+                + c**2 * D * w / 4.0 * U)
 
     fL = (transport(L, p.alpha, 1.0)
           - p.r1 * emsl * Lh
@@ -192,42 +193,37 @@ def rhs(rho, R, v_inner, fields, phi, params: ModelParameters):
     return np.stack(np.broadcast_arrays(fL, fH, fF))
 
 
-def fv(rho, R, fields, params: ModelParameters):
-    """The velocity source f_v; ``fields`` maps "L", "H", "F" to point values."""
+def fv(rho, R, X, params: ModelParameters):
+    """The velocity source f_v of the state ``X``."""
     p = params
-    _, _, Lh, Hh, Fh = _physical_state(rho, R, fields, p)
+    _, _, Lh, Hh, Fh = _physical_state(rho, R, X, p)
     Hden = _guard("delta + exp(sl)H + H0", p.delta + Hh)
     return ((1.0 - (R + p.eps)) / (2.0 * p.M0)
             * (p.lam * (p.M0 - Fh) * Lh / Hden - p.mu1 * (p.M0 - Fh) - p.mu2 * Fh))
 
 
-def fv_dF(rho, R, fields, params: ModelParameters):
+def fv_dF(rho, R, X, params: ModelParameters):
     """Partial derivative of f_v with respect to the local F value."""
     p = params
-    _, esf, Lh, Hh, _ = _physical_state(rho, R, fields, p)
+    _, esf, Lh, Hh, _ = _physical_state(rho, R, X, p)
     Hden = _guard("delta + exp(sl)H + H0", p.delta + Hh)
     return ((1.0 - (R + p.eps)) / (2.0 * p.M0) * esf
             * (-p.lam * Lh / Hden + p.mu1 - p.mu2))
 
 
-def adjoint_rhs(rho, R, fields, adjoints, phi, params: ModelParameters):
+def adjoint_rhs(rho, R, X, v, P, Pv, phi, params: ModelParameters):
     """The transformed adjoint sources f_PL, f_PH, f_PF, stacked on a new first axis.
 
     Obtained by rewriting the original adjoint sources in the transformed
     variables: physical quantities are reconstructed by inverting the
     exponential change of variables, the source is evaluated, and the result
-    is scaled back by the forward exponential.  Linear in the adjoints.
+    is scaled back by the forward exponential.  Linear in the adjoints
+    ``P`` and ``Pv``.
     """
     _check_occlusion(R, params)
     p = params
-    L = fields.get("L", 0.0)
-    H = fields.get("H", 0.0)
-    F = fields.get("F", 0.0)
-    v = fields.get("v", 0.0)
-    PL = adjoints.get("P_L", 0.0)
-    PH = adjoints.get("P_H", 0.0)
-    PF = adjoints.get("P_F", 0.0)
-    Pv = adjoints.get("P_v", 0.0)
+    L, H, F = X
+    PL, PH, PF = P
     sl = exponent_sl(rho, R, p)
     sf = exponent_sf(rho, R, p)
     sz = exponent_sz(rho, R, v, p)
@@ -265,47 +261,43 @@ def adjoint_rhs(rho, R, fields, adjoints, phi, params: ModelParameters):
                                         np.exp(sz) * src_PF))
 
 
-def switching_xi(rho, fields, adjoints, R, params: ModelParameters):
+def switching_xi(rho, R, X, v, P, params: ModelParameters):
     """The switching function; its sign at rho = -1 selects the bang-bang control."""
     p = params
-    H = fields.get("H", 0.0)
-    F = fields.get("F", 0.0)
-    v = fields.get("v", 0.0)
-    PH = adjoints.get("P_H", 0.0)
-    PF = adjoints.get("P_F", 0.0)
     sl = exponent_sl(rho, R, p)
     sf = exponent_sf(rho, R, p)
     sz = exponent_sz(rho, R, v, p)
-    Fh = np.exp(-sf) * F
+    Fh = np.exp(-sf) * X[2]
     den = _guard("K2 + exp(-sf)F", p.K2 + Fh)
     # Known discrepancy, pinned by perfbench/refs.json: (P_H - P_F) here,
     # where adjoint_rhs pairs the control with (P_H + P_F).
     return (
         Fh
-        * (np.exp(-sl) * H + p.H0)
+        * (np.exp(-sl) * X[1] + p.H0)
         / den
-        * (np.exp(-sl) * PH - np.exp(-sz) * PF)
+        * (np.exp(-sl) * P[1] - np.exp(-sz) * P[2])
     )
 
 
 # --- first-order collocation solves for v and P_v ------------------------
 
-def velocity_solve(R, fields, params: ModelParameters, setup: CollocationSetup,
+def velocity_solve(R, X, params: ModelParameters, setup: CollocationSetup,
                    return_slope=False):
     """Solve the first-order velocity equation by collocation.
 
-    ``fields`` maps "L", "H", "F" to nodal values on ``setup.rho``: shape
-    (N,) for a scalar ``R``, or (N, M) for ``R`` of shape (M,), one column
-    per time node, all solved in one call.  v is expanded in Legendre
-    degrees 0..N, and ``setup.pin_p1`` maps the nodal sources to its
-    coefficients with v(rho = 1) = 0.  Returns ``(v_nodes, v_inner,
+    ``X`` stacks the L, H, F nodal values on ``setup.rho``: shape (3, N)
+    for a scalar ``R``, or (3, N, M) for ``R`` of shape (M,), one column
+    per time node, all solved in one call (a batch of B states passes
+    (3, B, N, M) with ``R`` of shape (B, 1, M)).  v is expanded in
+    Legendre degrees 0..N, and ``setup.pin_p1`` maps the nodal sources to
+    its coefficients with v(rho = 1) = 0.  Returns ``(v_nodes, v_inner,
     dv_inner)`` where the last two are v and dv/drho at rho = -1 (scalars,
-    or shape (M,)); with ``return_slope=True`` the nodal slopes dv/drho are
-    appended.  A non-finite source raises ``numpy.linalg.LinAlgError``.
+    or shape (..., M)); with ``return_slope=True`` the nodal slopes dv/drho
+    are appended.  A non-finite source raises ``numpy.linalg.LinAlgError``.
     """
     _check_occlusion(R, params)
     rho = setup.rho if np.ndim(R) == 0 else setup.rho[:, None]
-    a = setup.pin_p1 @ fv(rho, R, fields, params)
+    a = setup.pin_p1 @ fv(rho, R, X, params)
     if not np.all(np.isfinite(a)):
         raise np.linalg.LinAlgError("non-finite velocity collocation solution")
     v_nodes = setup.V0r @ a
@@ -316,24 +308,22 @@ def velocity_solve(R, fields, params: ModelParameters, setup: CollocationSetup,
     return v_nodes, v_inner, dv_inner
 
 
-def adjoint_velocity_solve(R, fields, adjoint_F_nodes, dF_nodes,
-                           params: ModelParameters, setup: CollocationSetup):
+def adjoint_velocity_solve(R, X, v, P, dX, params: ModelParameters,
+                           setup: CollocationSetup):
     """Solve the first-order P_v equation by collocation.
 
     dP_v/drho equals the rho-derivative of the reconstructed physical F
     times the reconstructed physical P_F, with P_v pinned to 0 at rho = -1.
-    ``adjoint_F_nodes`` holds transformed P_F nodal values, ``dF_nodes`` the
-    nodal rho-derivatives of transformed F.  Returns P_v at the nodes,
-    expanded in Legendre degrees 0..N through ``setup.pin_m1``.
+    ``X``, ``v`` and ``P`` hold nodal values and ``dX`` the nodal
+    rho-derivatives of the state.  Returns P_v at the nodes, expanded in
+    Legendre degrees 0..N through ``setup.pin_m1``.
     """
     _check_occlusion(R, params)
     p = params
     rho = setup.rho
-    F = fields.get("F", 0.0)
-    v = fields.get("v", 0.0)
     sf = exponent_sf(rho, R, p)
     sz = exponent_sz(rho, R, v, p)
     # d/drho of exp(-sf) F  (physical F), sf' = beta*(1-(R+eps))*(1-rho)/4
     dsf = p.beta * (1.0 - (R + p.eps)) * (1.0 - rho) / 4.0
-    dFhat = np.exp(-sf) * (dF_nodes - dsf * F)
-    return setup.V0r @ (setup.pin_m1 @ (dFhat * np.exp(-sz) * adjoint_F_nodes))
+    dFhat = np.exp(-sf) * (dX[2] - dsf * X[2])
+    return setup.V0r @ (setup.pin_m1 @ (dFhat * np.exp(-sz) * P[2]))

@@ -15,6 +15,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -53,15 +54,6 @@ class ErrorReport:
     message: str = ""
 
 
-def _field_evaluator(state, which):
-    C = {"L": state.C_L, "H": state.C_H, "F": state.C_F}[which]
-
-    def ev(rho, t):
-        return state.setup.eval_field(C, rho, t)
-
-    return ev
-
-
 def convergence_study(params: ModelParameters, grid_list,
                       reference_grid=(16, 16), fp_tol=direct.FP_TOL,
                       fp_max_iter=direct.FP_MAX_ITER):
@@ -92,9 +84,9 @@ def convergence_study(params: ModelParameters, grid_list,
             state = direct.fixed_point_solve(cv, setup, params,
                                              tol=fp_tol, max_iter=fp_max_iter)
             direct.require_converged(state, f"{N}x{M}")
-            for which in ("L", "H", "F"):
-                ce = _field_evaluator(state, which)
-                re = _field_evaluator(ref_state, which)
+            for which, C, C_ref in zip("LHF", state.C, ref_state.C):
+                ce = partial(setup.eval_field, C)
+                re = partial(ref_setup.eval_field, C_ref)
                 row.Einf[which] = err_inf(ce, re, setup.rho, setup.t)
                 row.E2[which] = err_l2(ce, re, setup.rho, setup.t)
             row.EJ = abs((1.0 - state.final_radius() - params.eps) - ref_J)
@@ -111,16 +103,15 @@ def study_csv(rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["N", "M", "Einf_L", "Einf_H", "Einf_F",
-                "E2_L", "E2_H", "E2_F", "E_J", "cpu_seconds", "status"])
+                "E2_L", "E2_H", "E2_F", "E_J", "status"])
     for r in rows:
         if r.failed:
-            w.writerow([r.N, r.M] + [""] * 7 + [f"{r.cpu_seconds:.12g}",
-                                                f"failed: {r.message}"])
+            w.writerow([r.N, r.M] + [""] * 7 + [f"failed: {r.message}"])
         else:
             w.writerow([r.N, r.M]
                        + [f"{r.Einf[u]:.12g}" for u in "LHF"]
                        + [f"{r.E2[u]:.12g}" for u in "LHF"]
-                       + [f"{r.EJ:.12g}", f"{r.cpu_seconds:.12g}", "ok"])
+                       + [f"{r.EJ:.12g}", "ok"])
     return buf.getvalue()
 
 
@@ -130,7 +121,7 @@ def study_table(rows, params: ModelParameters) -> str:
         f"self-convergence study  (reference grid {rows[0].Ne} x {rows[0].Me}; "
         f"L0={params.L0}, H0={params.H0}, T={params.T})",
         f"{'N':>4} {'M':>4} {'Einf(L)':>12} {'Einf(H)':>12} {'Einf(F)':>12} "
-        f"{'E2(L)':>12} {'E(J)':>12} {'cpu(s)':>8}",
+        f"{'E2(L)':>12} {'E(J)':>12}",
     ]
     for r in rows:
         if r.failed:
@@ -138,8 +129,7 @@ def study_table(rows, params: ModelParameters) -> str:
         else:
             lines.append(
                 f"{r.N:>4} {r.M:>4} {r.Einf['L']:>12.4e} {r.Einf['H']:>12.4e} "
-                f"{r.Einf['F']:>12.4e} {r.E2['L']:>12.4e} {r.EJ:>12.4e} "
-                f"{r.cpu_seconds:>8.2f}")
+                f"{r.Einf['F']:>12.4e} {r.E2['L']:>12.4e} {r.EJ:>12.4e}")
     return "\n".join(lines) + "\n"
 
 
@@ -155,9 +145,7 @@ def cross_method_diff(direct_state: "direct.StateSolution",
     setup = direct_state.setup
     tg = indirect_sol.time_grid
     out = {}
-    for which in ("L", "H", "F"):
-        C = {"L": direct_state.C_L, "H": direct_state.C_H,
-             "F": direct_state.C_F}[which]
+    for which, C in zip("LHF", direct_state.C):
         d_vals = setup.eval_field(C, setup.rho, tg)  # (N, nt)
         i_vals = indirect_sol.field_nodes(which).T  # (N, nt)
         out[which] = float(np.max(np.abs(d_vals - i_vals)))

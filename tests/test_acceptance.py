@@ -86,7 +86,7 @@ def test_criterion_2_decoupled_limit():
 
 def _source_slope_at_inflow_corner(params, h=1e-6):
     """d f_L / d rho at (rho, t) = (-1, -1) for the zero initial state."""
-    f = lambda rho: model.rhs(rho, 0.0, 0.0, {}, 0.0, params)[0]
+    f = lambda rho: model.rhs(rho, 0.0, 0.0, np.zeros(3), 0.0, 0.0, params)[0]
     return (f(-1.0 + h) - f(-1.0 - h)) / (2.0 * h)
 
 

@@ -3,7 +3,8 @@
 ``perfbench/run.py --trace 1`` replaces public functions of every solver
 layer by traced wrappers.  A function it names that was deleted or renamed
 fails here instead of crashing a traced benchmark run.  One operation of
-shoot-8x8 and of sweep-8x8 also runs through the benchmark's own call and
+each workload (shoot-8x8, sweep-8x8, and fixedpoint-32x32, which runs the
+matrix-free GMRES path) also runs through the benchmark's own call and
 check, so a change that moves the pinned references fails here too.  Nothing
 under ``perfbench/`` is written.
 """
@@ -48,8 +49,9 @@ def test_every_traced_function_can_be_installed(monkeypatch):
 
 # Pool entry 2 of shoot-8x8 switches the control twice during the sweep.
 @pytest.mark.parametrize("workload, x", [("shoot-8x8", 2),
-                                         ("sweep-8x8", (0.0138, 0.0045))],
-                         ids=["shoot-8x8", "sweep-8x8"])
+                                         ("sweep-8x8", (0.0138, 0.0045)),
+                                         ("fixedpoint-32x32", 0)],
+                         ids=["shoot-8x8", "sweep-8x8", "fixedpoint-32x32"])
 def test_one_operation_passes_its_check_under_the_tracer(monkeypatch, workload, x):
     run = _load_run(monkeypatch)
     wl = _load(monkeypatch, "workloads").WORKLOADS[workload](ModelParameters())

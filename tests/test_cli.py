@@ -71,7 +71,11 @@ class TestConfig:
 
     def test_main_exit_code_on_bad_config(self, capsys):
         for flags in (["--N", "bogus"], ["--k1", "abc"], ["--fp-tol", "nan"],
-                      ["--grad-step", "0"]):
+                      ["--grad-step", "0"], ["--sqp-max-iter", "-1"],
+                      ["--shoot-max-iter", "-3"],
+                      ["--Ne", "4", "--Me", "4", "--study-grids", "8x8"],
+                      ["--Ne", "4", "--Me", "4", "--study-grids", "2x2,3x4"],
+                      ["--study-grids", "0x2"]):
             code = cli.main(["solve-direct"] + flags)
             assert code == 2, flags
             assert "invalid input" in capsys.readouterr().err
@@ -176,6 +180,7 @@ class TestCommands:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["summary"]["convergence"]) == 2
+        assert all(r["cpu_seconds"] > 0.0 for r in manifest["summary"]["convergence"])
         lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
@@ -187,12 +192,16 @@ class TestCommands:
         assert len(manifest["summary"]["sweep"]) == 1
 
     def test_deterministic_artifacts(self, tmp_path):
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        assert _run_main(d1, "solve-direct") == 0
-        assert _run_main(d2, "solve-direct") == 0
-        for name in ("direct_field_L.csv", "direct_radius.csv",
-                     "direct_control.csv"):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        study = ["--study-grids", "2x2", "--Ne", "3", "--Me", "3"]
+        for command, extra, names in (
+                ("solve-direct", [], ("direct_field_L.csv", "direct_radius.csv",
+                                      "direct_control.csv")),
+                ("convergence", study, ("convergence.csv", "convergence.txt"))):
+            d1, d2 = tmp_path / command / "a", tmp_path / command / "b"
+            assert _run_main(d1, command, extra) == 0
+            assert _run_main(d2, command, extra) == 0
+            for name in names:
+                assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_error_json_on_runtime_failure(self, tmp_path):
         # a parameter set that occludes immediately: large source, tiny cap

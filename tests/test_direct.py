@@ -50,20 +50,16 @@ class TestControlVector:
 class TestOperator:
     def test_pure_time_derivative_when_coefficients_vanish(self):
         s = build_setup(3, 4)
-        zero = np.zeros((3, 4))
-        grids = (zero, zero, zero, zero.copy(), zero.copy(),
-                 np.zeros(4), np.zeros(4))
-        A = direct.assemble_operator("L", grids, s, P)
+        A = direct.assemble_operator(np.zeros(4), np.zeros((3, 4)), s, P)
         expected = (2.0 / P.T) * np.kron(s.D0r.T, s.D1t.T)
         assert np.allclose(A, expected)
 
     def test_field_kind_selects_diffusion_coefficient(self):
         s = build_setup(2, 2)
-        ones = np.ones((2, 2))
-        grids = (ones, ones, ones, np.zeros((2, 2)), np.zeros((2, 2)),
-                 np.full(2, 3.0), np.full(2, 7.0))
-        A_L = direct.assemble_operator("L", grids, s, P)
-        A_F = direct.assemble_operator("F", grids, s, P)
+        LH = (np.full(2, 3.0), np.zeros((2, 2)))  # (g1, G2) of the L/H operator
+        F = (np.full(2, 7.0), np.zeros((2, 2)))
+        A_L = direct.assemble_operator(*LH, s, P)
+        A_F = direct.assemble_operator(*F, s, P)
         base = (2.0 / P.T) * np.kron(s.D0r.T, s.D1t.T)
         kron2 = np.kron(s.D2r.T, s.D0t.T)
         assert np.allclose(A_L, base - 3.0 * kron2)
@@ -73,10 +69,12 @@ class TestOperator:
         rng = np.random.default_rng(11)
         for N, M in [(2, 3), (5, 4), (8, 8)]:
             s = build_setup(N, M)
-            grids = tuple(rng.normal(size=(N, M)) for _ in range(5)) + (
-                rng.uniform(1.0, 5.0, M), rng.uniform(1.0, 5.0, M))
-            A_L = direct.assemble_operator("L", grids, s, P)
-            A_H = direct.assemble_operator("H", grids, s, P)
+            _, LH, _ = kernels.eval_state_grids(
+                s.rho, rng.uniform(0.0, 0.2, M), rng.normal(size=M),
+                rng.normal(size=(N, M)), rng.normal(size=(3, N, M)) * 1e-4,
+                np.zeros(M), P)
+            A_L = direct.assemble_operator(*LH, s, P)
+            A_H = direct.assemble_operator(*LH, s, P)
             assert np.array_equal(A_L, A_H)
 
     def test_matches_kronecker_formula(self):
@@ -85,21 +83,13 @@ class TestOperator:
             s = build_setup(N, M)
             g1, g3 = rng.uniform(1.0, 5.0, M), rng.uniform(1.0, 5.0, M)
             G2, G32 = rng.normal(size=(N, M)), rng.normal(size=(N, M))
-            grids = (None, None, None, G2, G32, g1, g3)
             for kind, g, G in (("L", g1, G2), ("F", g3, G32)):
                 expected = ((2.0 / P.T) * np.kron(s.D0r.T, s.D1t.T)
                             - np.repeat(np.tile(g, N), N * M).reshape(N * M, -1)
                             * np.kron(s.D2r.T, s.D0t.T)
                             + G.reshape(-1, 1) * np.kron(s.D1r.T, s.D0t.T))
-                A = direct.assemble_operator(kind, grids, s, P)
+                A = direct.assemble_operator(g, G, s, P)
                 assert np.max(np.abs(A - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-    def test_unknown_kind_rejected(self):
-        s = build_setup(2, 2)
-        zero = np.zeros((2, 2))
-        grids = (zero, zero, zero, zero, zero, np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            direct.assemble_operator("Q", grids, s, P)
 
 
 class TestFixedPoint:
@@ -108,7 +98,7 @@ class TestFixedPoint:
         state = direct.fixed_point_solve(_zero_control(6), s, P.decoupled())
         assert state.converged
         assert state.iterations <= 2
-        for C in (state.C_L, state.C_H, state.C_F):
+        for C in state.C:
             assert np.max(np.abs(C)) < 1e-12
         assert np.max(np.abs(state.C_R)) < 1e-12
         assert np.max(np.abs(state.v_field)) < 1e-12
@@ -148,16 +138,11 @@ class TestFixedPoint:
                                          tol=1e-12, max_iter=400)
         assert state.converged
         phi = np.zeros(6)
-        Lg = s.field_values(state.C_L)
-        Hg = s.field_values(state.C_H)
-        Fg = s.field_values(state.C_F)
         Rt = state.C_R @ s.D0t
-        grids = kernels.eval_state_grids(s.rho, Rt, state.v_inner,
-                                         state.v_field, Lg, Hg, Fg, phi, P)
-        for kind, C, F in (("L", state.C_L, grids[0]),
-                           ("H", state.C_H, grids[1]),
-                           ("F", state.C_F, grids[2])):
-            A = direct.assemble_operator(kind, grids, s, P)
+        S, LH, FF = kernels.eval_state_grids(s.rho, Rt, state.v_inner, state.v_field,
+                                             s.field_values(state.C), phi, P)
+        for C, F, pair in zip(state.C, S, (LH, LH, FF)):
+            A = direct.assemble_operator(*pair, s, P)
             resid = A @ C.reshape(-1) - F.reshape(-1)
             assert np.max(np.abs(resid)) < 1e-9
         resid_R = (2.0 / P.T) * s.D1t.T @ state.C_R - state.v_inner
@@ -274,8 +259,7 @@ def _assert_same_state(got, ref, params):
     bit (the sweep compares the J of two solves of the zero control strictly)."""
     assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
     assert got.residual_history == ref.residual_history
-    for a, b in ((got.C_L, ref.C_L), (got.C_H, ref.C_H), (got.C_F, ref.C_F),
-                 (got.C_R, ref.C_R), (got.v_field, ref.v_field),
+    for a, b in ((got.C, ref.C), (got.C_R, ref.C_R), (got.v_field, ref.v_field),
                  (got.v_inner, ref.v_inner), (got.dv_inner, ref.dv_inner)):
         assert np.array_equal(a, b)
     assert _objective(got, params) == _objective(ref, params)
@@ -325,9 +309,8 @@ class TestBatch:
 def _grids_after(control, setup, params, steps):
     """Coefficient and source grids of the fixed-point pass after ``steps`` passes."""
     st = direct.fixed_point_solve(control, setup, params, max_iter=steps)
-    nodal = setup.field_values(np.stack([st.C_L, st.C_H, st.C_F]))
     return kernels.eval_state_grids(setup.rho, st.radius_nodes(), st.v_inner,
-                                    st.v_field, *nodal,
+                                    st.v_field, setup.field_values(st.C),
                                     control.values_at(setup.t), params)
 
 
@@ -342,9 +325,10 @@ def _refined_solve(A, B):
 
 def _systems(grids, setup, params):
     """(kind, operator, sources, matrix-free solution) for the L/H and F systems."""
-    for kind, sources in (("L", np.stack(grids[:2])), ("F", grids[2][None])):
-        A = direct.assemble_operator(kind, grids, setup, params)
-        free = direct._solve_matrix_free(kind, grids, setup, params, sources)
+    S, LH, F = grids
+    for kind, (g1, G2), sources in (("L", LH, S[:2]), ("F", F, S[2:])):
+        A = direct.assemble_operator(g1, G2, setup, params)
+        free = direct._solve_matrix_free(g1, G2, setup, params, sources, kind)
         k = len(sources)
         yield kind, A, sources.reshape(k, -1).T, free.reshape(k, -1).T
 
@@ -392,19 +376,19 @@ class TestMatrixFree:
 
     def test_unconverged_gmres_raises(self, monkeypatch):
         s = build_setup(32, 32)
-        grids = _grids_after(_zero_control(32), s, P_SLOW, 2)
+        S, LH, _ = _grids_after(_zero_control(32), s, P_SLOW, 2)
         monkeypatch.setattr(direct, "GMRES_MAX_ITER", 5)
         with pytest.raises(direct.NonConvergenceError,
                            match="GMRES on the L collocation system stopped"):
-            direct._solve_matrix_free("L", grids, s, P_SLOW, np.stack(grids[:2]))
+            direct._solve_matrix_free(*LH, s, P_SLOW, S[:2], "L")
 
     def test_non_finite_source_raises(self):
         s = build_setup(16, 16)
-        grids = _grids_after(_zero_control(16), s, P, 2)
-        sources = np.stack(grids[:2]).copy()
+        S, LH, _ = _grids_after(_zero_control(16), s, P, 2)
+        sources = S[:2].copy()
         sources[1, 3, 4] = np.nan
         with pytest.raises(direct.NonConvergenceError, match="residual nan"):
-            direct._solve_matrix_free("L", grids, s, P, sources)
+            direct._solve_matrix_free(*LH, s, P, sources, "L")
 
 
 class TestIterationCap:

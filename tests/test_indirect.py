@@ -156,16 +156,34 @@ class TestSolveIndirect:
         assert np.array_equal(traj[:, 6 * 4], sol.R)
 
     def test_sentinel_start_surfaces_its_integration_error(self):
-        # both sweeps of the zero vector blow up; with no Newton step left the
-        # failure is raised, not returned as a trajectory
-        with np.errstate(all="ignore"), pytest.raises(indirect.IntegrationError):
-            indirect.solve_indirect(build_setup(4, 4), P.with_overrides(eps=0.999),
-                                    max_iter=0, n_steps=50)
+        # both sweeps of the zero vector blow up; whether or not Newton steps
+        # are left, the failure is raised, never returned as a trajectory nor
+        # reported as a singular Jacobian
+        for max_iter in (0, indirect.SHOOT_MAX_ITER):
+            with np.errstate(all="ignore"), pytest.raises(indirect.IntegrationError):
+                indirect.solve_indirect(build_setup(4, 4), P.with_overrides(eps=0.999),
+                                        max_iter=max_iter, n_steps=50)
+
+    def test_sentinel_trial_is_never_accepted(self, monkeypatch):
+        # a start residual above the sentinel, an identity Jacobian and a
+        # line search whose every trial blows up: no trial may be kept
+        s, pd = build_setup(2, 2), P.decoupled()
+        sweep = indirect._shoot(indirect.ShootingVector(np.zeros(7)), s, pd, 10)[1]
+
+        def shoot(sv, *args):
+            if np.max(np.abs(sv.s)) <= indirect.JAC_STEP:
+                return np.full(7, 1e7) + sv.s, sweep
+            return np.full(7, indirect.RESIDUAL_SENTINEL), None
+
+        monkeypatch.setattr(indirect, "_shoot", shoot)
+        sol = indirect.solve_indirect(s, pd, n_steps=10)
+        assert not sol.converged and sol.residual_norm == 1e7
+        assert np.array_equal(sol.shooting.s, np.zeros(7))
 
     def test_trajectory_shapes(self):
         s = build_setup(4, 4)
         sol = indirect.solve_indirect(s, P, n_steps=100)
         assert sol.time_grid.shape == (101,)
-        assert sol.alpha_L.shape == (101, 4)
+        assert sol.blocks[:, 0].shape == (101, 4)
         assert sol.field_nodes("L").shape == (101, 4)
         assert sol.phi.shape == (101,)

@@ -26,30 +26,31 @@ def _random_inputs(N, M, seed=0):
 class TestBackends:
     def test_matches_pointwise_model_evaluation(self):
         rho, Rt, vin, v, L, H, F, phi = _random_inputs(4, 3, seed=1)
-        FL, FH, FF, G12, G32, G11, G31 = kernels.eval_state_grids(
-            rho, Rt, vin, v, L, H, F, phi, P)
+        X = np.stack([L, H, F])
+        (FL, FH, FF), (G11, G12), (G31, G32) = kernels.eval_state_grids(
+            rho, Rt, vin, v, X, phi, P)
         for i in range(4):
             for l in range(3):
-                fields = {"L": L[i, l], "H": H[i, l], "F": F[i, l], "v": v[i, l]}
+                point = X[:, i, l]
                 assert np.isclose(
                     FL[i, l],
-                    model.rhs(rho[i], Rt[l], vin[l], fields, phi[l], P)[0],
+                    model.rhs(rho[i], Rt[l], vin[l], point, v[i, l], phi[l], P)[0],
                     rtol=1e-12)
                 assert np.isclose(
                     FF[i, l],
-                    model.rhs(rho[i], Rt[l], vin[l], fields, phi[l], P)[2],
+                    model.rhs(rho[i], Rt[l], vin[l], point, v[i, l], phi[l], P)[2],
                     rtol=1e-12)
                 assert np.isclose(
                     G32[i, l],
-                    model.coeff("g32", rho[i], Rt[l], vin[l], v[i, l], P),
+                    model.coeff(rho[i], Rt[l], vin[l], v[i, l], P)[1][1],
                     rtol=1e-12)
-        assert np.allclose(G11, model.coeff("g11", 0.0, Rt, 0.0, 0.0, P))
+        assert np.allclose(G11, model.coeff(0.0, Rt, 0.0, 0.0, P)[0][0])
 
     def test_occlusion_guard(self):
         rho, Rt, vin, v, L, H, F, phi = _random_inputs(4, 3, seed=2)
         Rt[1] = 1.0
         with pytest.raises(model.OcclusionError):
-            kernels.eval_state_grids(rho, Rt, vin, v, L, H, F, phi, P)
+            kernels.eval_state_grids(rho, Rt, vin, v, np.stack([L, H, F]), phi, P)
 
     def test_backend_name_reports_selection(self):
         assert kernels.backend_name() == "numpy"
