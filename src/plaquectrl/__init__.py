@@ -12,7 +12,6 @@ from .spectral import (
     PolynomialBasis,
     build_bases,
     build_setup,
-    jacobi_eval,
     legendre_gauss_nodes,
     legendre_gauss_radau_nodes,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "ModelParameters",
     "PolynomialBasis",
     "CollocationSetup",
-    "jacobi_eval",
     "legendre_gauss_nodes",
     "legendre_gauss_radau_nodes",
     "build_bases",

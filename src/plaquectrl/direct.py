@@ -102,6 +102,8 @@ class ControlVector:
         object.__setattr__(self, "segments", seg)
         if seg.ndim != 1 or seg.size < 1:
             raise ValueError("segments must be a non-empty vector")
+        if not (np.all(np.isfinite(seg)) and np.isfinite(self.Kbound)):
+            raise ValueError("segments and Kbound must be finite")
         if np.any(seg < -1e-12) or np.any(seg > self.Kbound + 1e-12):
             raise ValueError(f"segment values outside [0, {self.Kbound}]")
 
@@ -312,7 +314,9 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     solves the members still moving together: one batched dense solve for
     L/H and one for F, or GMRES member by member above
     ``DENSE_MAX_UNKNOWNS``.  Every member takes the same passes, and gives
-    bit for bit the same state, as a batch of one.
+    bit for bit the same state, as a batch of one.  Each pass builds one
+    :class:`~plaquectrl.model.Frame` of the new iterate, which serves its
+    velocity solve and the next pass's grids.
 
     Updates are under-relaxed adaptively, per member: the blend weight
     halves whenever the raw update delta grows and recovers toward 1 as it
@@ -329,8 +333,9 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     member = np.arange(B)  # batch index of each member still moving
     C = np.zeros((B, 3, N, M))  # L, H, F coefficient matrices
     C_R = np.zeros((B, M))
-    nodal = np.zeros((B, 3, N, M))  # L, H, F nodal values
-    Rt = np.zeros((B, M))
+    rho = setup.rho[:, None]
+    # The frame of the iterate: R (B, 1, M) at the time nodes, L, H, F at the nodes
+    fr = model.Frame(rho, np.zeros((B, 1, M)), np.zeros((3, B, N, M)), params)
     v_field = np.zeros((B, N, M))
     v_inner = np.zeros((B, M))
     dv_inner = np.zeros((B, M))
@@ -347,13 +352,12 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
                 v_inner=v_inner[b].copy(), dv_inner=dv_inner[b].copy(),
                 residual_history=history[member[b]], converged=converged,
                 iterations=iterations, setup=setup)
-        return (a[keep] for a in (member, C, C_R, nodal, Rt, v_field, v_inner,
-                                  dv_inner, last, omega, phi))
+        return fr.take(keep), *(a[keep] for a in (member, C, C_R, v_field, v_inner,
+                                                  dv_inner, last, omega, phi))
 
     for it in range(1, max_iter + 1):
-        S, LH, F = kernels.eval_state_grids(setup.rho, Rt[:, None], v_inner[:, None],
-                                            v_field, nodal.swapaxes(0, 1),
-                                            phi[:, None], params)
+        S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field,
+                                            phi[:, None])
         C_new = np.concatenate([_solve_fields(*LH, setup, params, S[:2], "L"),
                                 _solve_fields(*F, setup, params, S[2:], "F")]
                                ).swapaxes(0, 1)
@@ -373,13 +377,12 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
         w = omega[:, None]
         C = (1.0 - w[:, :, None, None]) * C + w[:, :, None, None] * C_new
         C_R = (1.0 - w) * C_R + w * C_R_new
-        nodal = setup.field_values(C)
-        Rt = (C_R[:, None] @ setup.D0t)[:, 0]
-        v_field, v_inner, dv_inner = model.velocity_solve(
-            Rt[:, None], nodal.swapaxes(0, 1), params, setup)
+        fr = model.Frame(rho, C_R[:, None] @ setup.D0t,
+                         setup.field_values(C).swapaxes(0, 1), params)
+        v_field, v_inner, dv_inner, _ = model.velocity_solve(fr, setup)
         moving = delta >= tol
         if not np.all(moving):
-            (member, C, C_R, nodal, Rt, v_field, v_inner, dv_inner, last, omega,
+            (fr, member, C, C_R, v_field, v_inner, dv_inner, last, omega,
              phi) = freeze(moving, True, it)
             if not member.size:
                 break

@@ -96,28 +96,30 @@ def ode_rhs(t, y, setup: CollocationSetup, params: ModelParameters,
     beta_PF | R | P_R].  The six coefficient blocks are handled as one
     (6, N) array; the spatial mass matrix is inverted by
     ``setup.solve_space_values``, and velocity and its adjoint are
-    resolved afresh from the current state (``model.velocity_solve`` raises
-    :class:`~plaquectrl.model.OcclusionError` if R + eps >= 1).  ``phi`` is
+    resolved afresh from the current state.  Every model formula reads one
+    :class:`~plaquectrl.model.Frame` of the nodes, which raises
+    :class:`~plaquectrl.model.OcclusionError` if R + eps >= 1.  ``phi`` is
     the control value in force.
     """
     p = params
     N = setup.N
     R, PR = y[6 * N], y[6 * N + 1]
-    rho = setup.rho
     blocks = y[:6 * N].reshape(6, N)
     values, slopes, curvatures = (blocks @ setup.D0r, blocks @ setup.D1r,
                                   blocks @ setup.D2r)
     X, P = values[:3], values[3:]
-    v, v_inner, dv_inner, dv = model.velocity_solve(R, X, p, setup, return_slope=True)
-    Pv = model.adjoint_velocity_solve(R, X, v, P, slopes[:3], p, setup)
-    (g11, g12), (g31, g32) = model.coeff(rho, R, v_inner, v, p)
-    g42, g62 = model.adjoint_drift(rho, R, X, v_inner, v, dv, p)
+    fr = model.Frame(setup.rho, R, X, p)
+    v, v_inner, dv_inner, dv = model.velocity_solve(fr, setup)
+    fr.add_adjoint(v)
+    Pv = model.adjoint_velocity_solve(fr, P, slopes[:3], setup)
+    (g11, g12), (g31, g32) = model.coeff(fr, v_inner, v)
+    g42, g62 = model.adjoint_drift(fr, v_inner, v, dv)
     # States:   (2/T) M a' = F_S + G1 (D2' a) - G2 (D1' a);
     # adjoints: (2/T) M b' = F_C - G1 (D2' b) - G2adj (D1' b).
     G1 = np.array([g11, g11, g31, -g11, -g11, -g31])[:, None]
     G2 = np.stack([g12, g12, g32, g42, g42, g62])
-    sources = np.concatenate([model.rhs(rho, R, v_inner, X, v, phi, p),
-                              model.adjoint_rhs(rho, R, X, v, P, Pv, phi, p)])
+    sources = np.concatenate([model.rhs(fr, v_inner, v, phi),
+                              model.adjoint_rhs(fr, P, Pv, phi)])
     half_T = p.T / 2.0
     dy = np.empty_like(y)
     dy[:6 * N] = half_T * setup.solve_space_values(
@@ -172,10 +174,10 @@ def _xi_at_inner(y, setup, params):
     switching function does not depend on the velocity.
     """
     N = setup.N
-    R = y[6 * N]
-    model._check_occlusion(R, params)
     X, P = y[:6 * N].reshape(2, 3, N) @ setup.space_at_m1
-    return float(model.switching_xi(-1.0, R, X, 0.0, P, params))
+    fr = model.Frame(-1.0, y[6 * N], X, params)
+    fr.add_adjoint(0.0)
+    return float(model.switching_xi(fr, P))
 
 
 def _integrate_with_control(y0, setup, params, n_steps):

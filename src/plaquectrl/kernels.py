@@ -6,30 +6,31 @@ batch of controls at once (the SQP driver's finite-difference probes are
 one batch).  The grids are built by broadcasting the pointwise formulas of
 :mod:`plaquectrl.model` over a column of space nodes against a row of time
 nodes, with the state stacked as in the model: L, H, F on the first axis.
+They read the iterate's :class:`~plaquectrl.model.Frame`, which the fixed
+point builds once per pass and shares with its velocity solve.
 """
 
 from __future__ import annotations
 
 from . import model
-from .params import ModelParameters
 
 
 def backend_name() -> str:
     return "numpy"
 
 
-def eval_state_grids(rho, Rt, vin, v, X, phi, p: ModelParameters):
+def eval_state_grids(fr: model.Frame, vin, v, phi):
     """All state-equation source and coefficient grids for one fixed-point sweep.
 
-    Shapes: ``rho (N,)``, ``Rt/vin/phi (M,)``, ``v (N, M)`` and the stacked
-    state ``X (3, N, M)``.  Returns ``(S, (g11, G12), (g31, G32))``: the
-    sources S of L, H, F stacked like X, then the (diffusion, drift) pair of
-    the L/H operator and of the F operator (:func:`model.coeff`); the
-    diffusions are shaped ``(M,)``, as they do not depend on rho.  A batch of
-    B iterates passes ``Rt/vin/phi`` as ``(B, 1, M)``, ``v`` as
-    ``(B, N, M)`` and X as ``(3, B, N, M)``; every grid then gains the batch
-    axis, and the diffusions are ``(B, 1, M)``.  Raises
-    :class:`~plaquectrl.model.OcclusionError` if R + eps >= 1 at a time node.
+    ``fr`` is the :class:`~plaquectrl.model.Frame` of the iterate at the
+    column of space nodes ``rho[:, None]`` (N, 1), with ``R (M,)`` and the
+    stacked state ``X (3, N, M)``; ``vin/phi`` are ``(M,)`` and ``v`` is
+    ``(N, M)``.  Returns ``(S, (g11, G12), (g31, G32))``: the sources S of L,
+    H, F stacked like X, then the (diffusion, drift) pair of the L/H
+    operator and of the F operator (:func:`model.coeff`); the diffusions are
+    shaped ``(M,)``, as they do not depend on rho.  A batch of B iterates
+    has a frame with ``R (B, 1, M)`` and ``X (3, B, N, M)`` and passes
+    ``vin/phi`` as ``(B, 1, M)`` and ``v`` as ``(B, N, M)``; every grid then
+    gains the batch axis, and the diffusions are ``(B, 1, M)``.
     """
-    col = rho[:, None]
-    return (model.rhs(col, Rt, vin, X, v, phi, p), *model.coeff(col, Rt, vin, v, p))
+    return (model.rhs(fr, vin, v, phi), *model.coeff(fr, vin, v))

@@ -1,9 +1,17 @@
-"""Transformed plaque-growth model: coordinate maps, coefficients, right-hand sides.
+"""Transformed plaque-growth model: change of variables, coefficients, right-hand sides.
 
 Everything here operates on the fixed domain rho in [-1, 1], t in [-1, 1]
 obtained by pinning the free boundary to rho = -1 and rescaling time, with
 the exponential change of dependent variables that converts the Robin
 boundary conditions at the inner edge to homogeneous Neumann ones.
+
+That change of variables is computed once per evaluation, by
+:class:`Frame`: it checks the radius for occlusion once, and holds
+1 - (R + eps), the exponents and their exponentials, and the physical
+fields rebuilt from the transformed state.  Every formula below reads a
+frame and recomputes none of it.  The adjoint formulas also need the P_F
+exponent, which depends on the local velocity, so after the velocity solve
+the caller adds the adjoint pieces once with :meth:`Frame.add_adjoint`.
 
 All formulas accept scalars or numpy arrays elementwise.  ``R`` throughout
 is the shifted radius (physical inner radius minus ``eps``), so the physical
@@ -19,6 +27,8 @@ per-grid state is kept here.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -42,51 +52,6 @@ class DenominatorError(ValueError):
         super().__init__(f"denominator {term} below floor: {value!r}")
 
 
-def front_fix(r, tau, R, T):
-    """Map physical (r, tau) to transformed (rho, t).
-
-    rho = 2(r - R)/(1 - R) - 1,  t = 2 tau / T - 1, with R the physical
-    free-boundary radius.
-    """
-    R = float(R)
-    if R >= 1.0:
-        raise OcclusionError(f"free boundary R = {R} >= 1")
-    rho = 2.0 * (np.asarray(r, dtype=float) - R) / (1.0 - R) - 1.0
-    t = 2.0 * np.asarray(tau, dtype=float) / T - 1.0
-    return rho, t
-
-
-def front_fix_inverse(rho, t, R, T):
-    """Exact inverse of :func:`front_fix`."""
-    R = float(R)
-    if R >= 1.0:
-        raise OcclusionError(f"free boundary R = {R} >= 1")
-    r = R + (np.asarray(rho, dtype=float) + 1.0) * (1.0 - R) / 2.0
-    tau = (np.asarray(t, dtype=float) + 1.0) * T / 2.0
-    return r, tau
-
-
-def exponent_sl(rho, R, params: ModelParameters):
-    """Exponent of the Robin->Neumann transform for L and H (and P_L, P_H)."""
-    return -params.alpha * (1.0 - (R + params.eps)) * (1.0 - rho) ** 2 / 8.0
-
-
-def exponent_sf(rho, R, params: ModelParameters):
-    """Exponent of the Robin->Neumann transform for F."""
-    return -params.beta * (1.0 - (R + params.eps)) * (1.0 - rho) ** 2 / 8.0
-
-
-def exponent_sz(rho, R, v, params: ModelParameters):
-    """Exponent of the Robin->Neumann transform for the foam-cell adjoint P_F."""
-    return (
-        (1.0 - (R + params.eps))
-        * (1.0 - rho) ** 2
-        * (1.0 + rho)
-        * (v + params.D * params.beta)
-        / 8.0
-    )
-
-
 def _check_occlusion(R, params):
     if (np.asarray(R) + params.eps >= 1.0).any():
         raise OcclusionError(f"R + eps >= 1 (R = {R!r}, eps = {params.eps})")
@@ -98,74 +63,112 @@ def _guard(name, value):
     return value
 
 
-def _frame(rho, R, v_inner, params):
-    """Checks R for occlusion; returns 1 - (R + eps), q (1 - (R + eps)) and the
-    moving-frame drift v(-1) (rho + 1) / (1 - (R + eps)) shared by every drift."""
-    _check_occlusion(R, params)
-    Rb = R + params.eps
-    om = 1.0 - Rb
-    q = (rho + 1.0) + Rb * (1.0 - rho)
-    return om, q * om, v_inner * (rho + 1.0) / om
+class Frame:
+    """The change of variables at points ``rho`` for radius ``R`` and state ``X``.
+
+    Raises :class:`OcclusionError` if R + eps >= 1.  Holds ``om`` =
+    1 - (R + eps), ``q`` = (rho + 1) + (R + eps)(1 - rho), ``qom`` = q om,
+    ``w`` = (1 - rho)^2, the Robin->Neumann exponents ``sl`` (of L, H, P_L
+    and P_H) and ``sf`` (of F) with their exponentials ``esl`` and ``esf``,
+    and the physical fields ``Lh``, ``Hh``, ``Fh`` rebuilt from X with
+    exp(+s).  A batch frame has R of shape (B, 1, M) and X of shape
+    (3, B, N, M): every array derived from them carries the batch axis third
+    from last, and only the rho-only ones have fewer axes (:meth:`take`).
+    """
+
+    def __init__(self, rho, R, X, params: ModelParameters):
+        _check_occlusion(R, params)
+        p = params
+        self.rho, self.R, self.X, self.params = rho, R, X, params
+        Rb = R + p.eps
+        self.om = om = 1.0 - Rb
+        self.q = (rho + 1.0) + Rb * (1.0 - rho)
+        self.qom = self.q * om
+        self.w = w = (1.0 - rho) ** 2
+        self.sl = -p.alpha * om * w / 8.0
+        self.sf = -p.beta * om * w / 8.0
+        self.esl, self.esf = np.exp(self.sl), np.exp(self.sf)
+        self.Lh = self.esl * X[0] + p.L0
+        self.Hh = self.esl * X[1] + p.H0
+        self.Fh = self.esf * X[2]
+
+    def add_adjoint(self, v):
+        """Add what the adjoint formulas read, at the local velocity ``v``.
+
+        That is the P_F exponent ``sz`` with ``esz`` = exp(sz) and ``emsz`` =
+        exp(-sz), ``emsl`` = exp(-sl), ``emsf`` = exp(-sf), and the fields
+        ``Lm``, ``Hm``, ``Fm`` rebuilt from X with exp(-s).
+        """
+        p = self.params
+        self.sz = self.om * self.w * (1.0 + self.rho) * (v + p.D * p.beta) / 8.0
+        self.esz, self.emsz = np.exp(self.sz), np.exp(-self.sz)
+        self.emsl, self.emsf = np.exp(-self.sl), np.exp(-self.sf)
+        # Known discrepancy, pinned by perfbench/refs.json: the adjoint
+        # formulas rebuild the fields with exp(-sl), exp(-sf), where Lh, Hh,
+        # Fh above rebuild the same fields with exp(+sl), exp(+sf).
+        self.Lm = self.emsl * self.X[0] + p.L0
+        self.Hm = self.emsl * self.X[1] + p.H0
+        self.Fm = self.emsf * self.X[2]
+
+    def moving_drift(self, v_inner):
+        """v(-1) (rho + 1) / (1 - (R + eps)): the moving-frame term of every drift."""
+        return v_inner * (self.rho + 1.0) / self.om
+
+    def take(self, keep):
+        """The frame of the batch members selected by ``keep``."""
+        out = copy.copy(self)
+        for name, value in vars(self).items():
+            if np.ndim(value) >= 3:
+                setattr(out, name, value[..., keep, :, :])
+        return out
 
 
-def coeff(rho, R, v_inner, v_local, params: ModelParameters):
+def coeff(fr: Frame, v_inner, v_local):
     """Diffusion g1 and drift G2 of the two state operators, per their printed formulas.
 
     Returns ``((g11, g12), (g31, g32))``: the pair of the operator that L and
     H share, then the pair of F's.  ``v_inner`` is the velocity at
-    rho = -1, ``v_local`` the velocity at the evaluation point; g11 and g31
-    do not depend on rho.  Raises :class:`OcclusionError` if R + eps >= 1.
+    rho = -1, ``v_local`` the velocity at the frame's points; g11 and g31
+    do not depend on rho.
     """
-    p = params
-    om, qom, frame = _frame(rho, R, v_inner, p)
-    g12 = -8.0 / qom - frame + 2.0 * (1.0 - rho) * p.alpha / om
-    g32 = (-8.0 * p.D / qom - frame + 2.0 * p.D * (1.0 - rho) * p.alpha / om
+    p, rho, om = fr.params, fr.rho, fr.om
+    drift = fr.moving_drift(v_inner)
+    g12 = -8.0 / fr.qom - drift + 2.0 * (1.0 - rho) * p.alpha / om
+    g32 = (-8.0 * p.D / fr.qom - drift + 2.0 * p.D * (1.0 - rho) * p.alpha / om
            + 2.0 * v_local / om)
     return (4.0 / om**2, g12), (4.0 * p.D / om**2, g32)
 
 
-def adjoint_drift(rho, R, X, v_inner, v, dv, params: ModelParameters):
+def adjoint_drift(fr: Frame, v_inner, v, dv):
     """Drifts (G42, G62) of the adjoint operators: G42 of P_L and P_H, G62 of P_F.
 
     Their diffusions are those of :func:`coeff`, negated.  ``v`` and ``dv``
-    are the velocity and its slope dv/drho at ``rho``; G62 also carries the
-    local F and the derivative of the velocity source with respect to it.
-    Raises :class:`OcclusionError` if R + eps >= 1.
+    are the velocity and its slope dv/drho at the frame's points; G62 also
+    carries the local F and the derivative of the velocity source with
+    respect to it.
     """
-    p = params
-    om, qom, frame = _frame(rho, R, v_inner, p)
-    oneR = 1.0 - R
-    g42 = -8.0 / qom - frame - 2.0 * (1.0 - rho) * p.alpha / om
-    g62 = (-8.0 * p.D / qom - frame
+    p, rho = fr.params, fr.rho
+    drift = fr.moving_drift(v_inner)
+    oneR = 1.0 - fr.R
+    g42 = -8.0 / fr.qom - drift - 2.0 * (1.0 - rho) * p.alpha / fr.om
+    g62 = (-8.0 * p.D / fr.qom - drift
            - 3.0 * (rho**2 - 2.0 * rho - 1.0) * (v + p.D * p.beta) / oneR
-           - (1.0 - rho) ** 2 * (1.0 + rho) / oneR * dv
-           - 2.0 * X[2] * fv_dF(rho, R, X, p) / oneR)
+           - fr.w * (1.0 + rho) / oneR * dv
+           - 2.0 * fr.X[2] * fv_dF(fr) / oneR)
     return g42, g62
 
 
-def _physical_state(rho, R, X, p):
-    """exp(sl), exp(sf) and the physical L, H, F rebuilt from the transformed X."""
-    esl = np.exp(exponent_sl(rho, R, p))
-    esf = np.exp(exponent_sf(rho, R, p))
-    return esl, esf, esl * X[0] + p.L0, esl * X[1] + p.H0, esf * X[2]
-
-
-def rhs(rho, R, v_inner, X, v, phi, params: ModelParameters):
+def rhs(fr: Frame, v_inner, v, phi):
     """The transformed state sources f_L, f_H and f_F, stacked on a new first axis.
 
-    ``X`` stacks the L, H, F point values and ``v`` is the local velocity.
-    ``phi`` is the control value in force.  Saturation denominators below
-    ``DENOM_FLOOR`` raise :class:`DenominatorError` naming the offending term.
+    ``v`` is the local velocity and ``phi`` the control value in force.
+    Saturation denominators below ``DENOM_FLOOR`` raise
+    :class:`DenominatorError` naming the offending term.
     """
-    _check_occlusion(R, params)
-    p = params
-    L, H, F = X
-    Rb = R + p.eps
-    om = 1.0 - Rb
-    w = (1.0 - rho) ** 2
-    q = (rho + 1.0) + Rb * (1.0 - rho)
-    esl, esf, Lh, Hh, Fh = _physical_state(rho, R, X, p)
-    emsl = 1.0 / esl
+    p, rho, om, w, q = fr.params, fr.rho, fr.om, fr.w, fr.q
+    L, H, F = fr.X
+    Lh, Hh, Fh = fr.Lh, fr.Hh, fr.Fh
+    emsl = 1.0 / fr.esl
     Lden = _guard("K1 + exp(sl)L + L0", p.K1 + Lh)
     Fden = _guard("K2 + exp(sf)F", p.K2 + Fh)
     Hden = _guard("delta + exp(sl)H + H0", p.delta + Hh)
@@ -193,49 +196,38 @@ def rhs(rho, R, v_inner, X, v, phi, params: ModelParameters):
     return np.stack(np.broadcast_arrays(fL, fH, fF))
 
 
-def fv(rho, R, X, params: ModelParameters):
-    """The velocity source f_v of the state ``X``."""
-    p = params
-    _, _, Lh, Hh, Fh = _physical_state(rho, R, X, p)
-    Hden = _guard("delta + exp(sl)H + H0", p.delta + Hh)
-    return ((1.0 - (R + p.eps)) / (2.0 * p.M0)
-            * (p.lam * (p.M0 - Fh) * Lh / Hden - p.mu1 * (p.M0 - Fh) - p.mu2 * Fh))
+def fv(fr: Frame):
+    """The velocity source f_v of the frame's state."""
+    p, Fh = fr.params, fr.Fh
+    Hden = _guard("delta + exp(sl)H + H0", p.delta + fr.Hh)
+    return (fr.om / (2.0 * p.M0)
+            * (p.lam * (p.M0 - Fh) * fr.Lh / Hden - p.mu1 * (p.M0 - Fh) - p.mu2 * Fh))
 
 
-def fv_dF(rho, R, X, params: ModelParameters):
+def fv_dF(fr: Frame):
     """Partial derivative of f_v with respect to the local F value."""
-    p = params
-    _, esf, Lh, Hh, _ = _physical_state(rho, R, X, p)
-    Hden = _guard("delta + exp(sl)H + H0", p.delta + Hh)
-    return ((1.0 - (R + p.eps)) / (2.0 * p.M0) * esf
-            * (-p.lam * Lh / Hden + p.mu1 - p.mu2))
+    p = fr.params
+    Hden = _guard("delta + exp(sl)H + H0", p.delta + fr.Hh)
+    return (fr.om / (2.0 * p.M0) * fr.esf
+            * (-p.lam * fr.Lh / Hden + p.mu1 - p.mu2))
 
 
-def adjoint_rhs(rho, R, X, v, P, Pv, phi, params: ModelParameters):
+def adjoint_rhs(fr: Frame, P, Pv, phi):
     """The transformed adjoint sources f_PL, f_PH, f_PF, stacked on a new first axis.
 
     Obtained by rewriting the original adjoint sources in the transformed
     variables: physical quantities are reconstructed by inverting the
-    exponential change of variables, the source is evaluated, and the result
-    is scaled back by the forward exponential.  Linear in the adjoints
-    ``P`` and ``Pv``.
+    exponential change of variables (the frame's exp(-s) rebuild, added by
+    :meth:`Frame.add_adjoint`), the source is evaluated, and the result is
+    scaled back by the forward exponential.  Linear in the adjoints ``P``
+    and ``Pv``.
     """
-    _check_occlusion(R, params)
-    p = params
-    L, H, F = X
+    p = fr.params
     PL, PH, PF = P
-    sl = exponent_sl(rho, R, p)
-    sf = exponent_sf(rho, R, p)
-    sz = exponent_sz(rho, R, v, p)
-    # Known discrepancy, pinned by perfbench/refs.json: exp(-sl), exp(-sf)
-    # here, where rhs rebuilds the same fields with exp(+sl), exp(+sf).
-    emsl = np.exp(-sl)
-    Lh = emsl * L + p.L0
-    Hh = emsl * H + p.H0
-    Fh = np.exp(-sf) * F
-    PLh = emsl * PL
-    PHh = emsl * PH
-    PFh = np.exp(-sz) * PF
+    Lh, Hh, Fh = fr.Lm, fr.Hm, fr.Fm
+    PLh = fr.emsl * PL
+    PHh = fr.emsl * PH
+    PFh = fr.emsz * PF
     Lden = _guard("K1 + Lhat", p.K1 + Lh)
     Fden = _guard("K2 + Fhat", p.K2 + Fh)
     Hden = _guard("delta + Hhat", p.delta + Hh)
@@ -256,74 +248,54 @@ def adjoint_rhs(rho, R, X, v, P, Pv, phi, params: ModelParameters):
         - (p.mu1 - p.mu2) / p.M0 * (p.M0 - 2.0 * Fh) * PFh
         - (p.mu1 - p.mu2) * Pv
     )
-    esl = np.exp(sl)
-    return np.stack(np.broadcast_arrays(esl * src_PL, esl * src_PH,
-                                        np.exp(sz) * src_PF))
+    return np.stack(np.broadcast_arrays(fr.esl * src_PL, fr.esl * src_PH,
+                                        fr.esz * src_PF))
 
 
-def switching_xi(rho, R, X, v, P, params: ModelParameters):
-    """The switching function; its sign at rho = -1 selects the bang-bang control."""
-    p = params
-    sl = exponent_sl(rho, R, p)
-    sf = exponent_sf(rho, R, p)
-    sz = exponent_sz(rho, R, v, p)
-    Fh = np.exp(-sf) * X[2]
-    den = _guard("K2 + exp(-sf)F", p.K2 + Fh)
+def switching_xi(fr: Frame, P):
+    """The switching function; its sign at rho = -1 selects the bang-bang control.
+
+    Reads the frame's adjoint pieces (:meth:`Frame.add_adjoint`).
+    """
+    den = _guard("K2 + exp(-sf)F", fr.params.K2 + fr.Fm)
     # Known discrepancy, pinned by perfbench/refs.json: (P_H - P_F) here,
     # where adjoint_rhs pairs the control with (P_H + P_F).
-    return (
-        Fh
-        * (np.exp(-sl) * X[1] + p.H0)
-        / den
-        * (np.exp(-sl) * P[1] - np.exp(-sz) * P[2])
-    )
+    return fr.Fm * fr.Hm / den * (fr.emsl * P[1] - fr.emsz * P[2])
 
 
 # --- first-order collocation solves for v and P_v ------------------------
 
-def velocity_solve(R, X, params: ModelParameters, setup: CollocationSetup,
-                   return_slope=False):
+def velocity_solve(fr: Frame, setup: CollocationSetup):
     """Solve the first-order velocity equation by collocation.
 
-    ``X`` stacks the L, H, F nodal values on ``setup.rho``: shape (3, N)
-    for a scalar ``R``, or (3, N, M) for ``R`` of shape (M,), one column
-    per time node, all solved in one call (a batch of B states passes
-    (3, B, N, M) with ``R`` of shape (B, 1, M)).  v is expanded in
-    Legendre degrees 0..N, and ``setup.pin_p1`` maps the nodal sources to
-    its coefficients with v(rho = 1) = 0.  Returns ``(v_nodes, v_inner,
-    dv_inner)`` where the last two are v and dv/drho at rho = -1 (scalars,
-    or shape (..., M)); with ``return_slope=True`` the nodal slopes dv/drho
-    are appended.  A non-finite source raises ``numpy.linalg.LinAlgError``.
+    ``fr`` is the frame at the nodes: rho = ``setup.rho`` with a scalar R
+    and X of shape (3, N), or rho = ``setup.rho[:, None]`` with R of shape
+    (M,) and X of shape (3, N, M), one column per time node, all solved in
+    one call (a batch of B states has R of shape (B, 1, M) and X of shape
+    (3, B, N, M)).  v is expanded in Legendre degrees 0..N, and
+    ``setup.pin_p1`` maps the nodal sources to its coefficients with
+    v(rho = 1) = 0.  Returns ``(v_nodes, v_inner, dv_inner, dv_nodes)``:
+    the nodal velocities, v and dv/drho at rho = -1 (scalars, or shape
+    (..., M)) and the nodal slopes dv/drho.  A non-finite source raises
+    ``numpy.linalg.LinAlgError``.
     """
-    _check_occlusion(R, params)
-    rho = setup.rho if np.ndim(R) == 0 else setup.rho[:, None]
-    a = setup.pin_p1 @ fv(rho, R, X, params)
+    a = setup.pin_p1 @ fv(fr)
     if not np.all(np.isfinite(a)):
         raise np.linalg.LinAlgError("non-finite velocity collocation solution")
-    v_nodes = setup.V0r @ a
-    v_inner = setup.V_at_m1 @ a
-    dv_inner = setup.V1_at_m1 @ a
-    if return_slope:
-        return v_nodes, v_inner, dv_inner, setup.V1r @ a
-    return v_nodes, v_inner, dv_inner
+    return setup.V0r @ a, setup.V_at_m1 @ a, setup.V1_at_m1 @ a, setup.V1r @ a
 
 
-def adjoint_velocity_solve(R, X, v, P, dX, params: ModelParameters,
-                           setup: CollocationSetup):
+def adjoint_velocity_solve(fr: Frame, P, dX, setup: CollocationSetup):
     """Solve the first-order P_v equation by collocation.
 
     dP_v/drho equals the rho-derivative of the reconstructed physical F
     times the reconstructed physical P_F, with P_v pinned to 0 at rho = -1.
-    ``X``, ``v`` and ``P`` hold nodal values and ``dX`` the nodal
-    rho-derivatives of the state.  Returns P_v at the nodes, expanded in
-    Legendre degrees 0..N through ``setup.pin_m1``.
+    ``fr`` is the frame at ``setup.rho`` with its adjoint pieces added, ``P``
+    holds the nodal adjoints and ``dX`` the nodal rho-derivatives of the
+    state.  Returns P_v at the nodes, expanded in Legendre degrees 0..N
+    through ``setup.pin_m1``.
     """
-    _check_occlusion(R, params)
-    p = params
-    rho = setup.rho
-    sf = exponent_sf(rho, R, p)
-    sz = exponent_sz(rho, R, v, p)
     # d/drho of exp(-sf) F  (physical F), sf' = beta*(1-(R+eps))*(1-rho)/4
-    dsf = p.beta * (1.0 - (R + p.eps)) * (1.0 - rho) / 4.0
-    dFhat = np.exp(-sf) * (dX[2] - dsf * X[2])
-    return setup.V0r @ (setup.pin_m1 @ (dFhat * np.exp(-sz) * P[2]))
+    dsf = fr.params.beta * fr.om * (1.0 - fr.rho) / 4.0
+    dFhat = fr.emsf * (dX[2] - dsf * fr.X[2])
+    return setup.V0r @ (setup.pin_m1 @ (dFhat * fr.emsz * P[2]))

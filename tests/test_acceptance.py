@@ -22,12 +22,12 @@ import time
 
 import numpy as np
 import pytest
+from jacobi_reference import jacobi_eval
 
 from plaquectrl import direct, indirect, model, verify
 from plaquectrl.nlp import NlpOptions, NlpProblem, fd_gradient, sqp_minimize
 from plaquectrl.params import ModelParameters
-from plaquectrl.spectral import (build_setup, jacobi_eval,
-                                 legendre_gauss_nodes,
+from plaquectrl.spectral import (build_setup, legendre_gauss_nodes,
                                  legendre_gauss_radau_nodes)
 
 P = ModelParameters()
@@ -86,7 +86,8 @@ def test_criterion_2_decoupled_limit():
 
 def _source_slope_at_inflow_corner(params, h=1e-6):
     """d f_L / d rho at (rho, t) = (-1, -1) for the zero initial state."""
-    f = lambda rho: model.rhs(rho, 0.0, 0.0, np.zeros(3), 0.0, 0.0, params)[0]
+    f = lambda rho: model.rhs(model.Frame(rho, 0.0, np.zeros(3), params),
+                              0.0, 0.0, 0.0)[0]
     return (f(-1.0 + h) - f(-1.0 - h)) / (2.0 * h)
 
 

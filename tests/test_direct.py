@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from plaquectrl import cli, direct, indirect, kernels, verify
+from plaquectrl import cli, direct, indirect, kernels, model, verify
 from plaquectrl.nlp import NlpOptions, NlpProblem, sqp_minimize
 from plaquectrl.params import ModelParameters
 from plaquectrl.spectral import build_setup
@@ -46,6 +46,14 @@ class TestControlVector:
         with pytest.raises(ValueError):
             direct.ControlVector(segments=np.zeros(0), Kbound=1.0)
 
+    def test_non_finite_rejected(self):
+        # nan passed both range comparisons; a 4x2 fixed point on it then
+        # raised a singular-operator error
+        for segments, Kbound in (([np.nan, 0.5], 1.0), ([np.inf], np.inf),
+                                 ([0.5], np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                direct.ControlVector(segments=segments, Kbound=Kbound)
+
 
 class TestOperator:
     def test_pure_time_derivative_when_coefficients_vanish(self):
@@ -69,10 +77,10 @@ class TestOperator:
         rng = np.random.default_rng(11)
         for N, M in [(2, 3), (5, 4), (8, 8)]:
             s = build_setup(N, M)
-            _, LH, _ = kernels.eval_state_grids(
-                s.rho, rng.uniform(0.0, 0.2, M), rng.normal(size=M),
-                rng.normal(size=(N, M)), rng.normal(size=(3, N, M)) * 1e-4,
-                np.zeros(M), P)
+            Rt, vin, v = (rng.uniform(0.0, 0.2, M), rng.normal(size=M),
+                          rng.normal(size=(N, M)))
+            fr = model.Frame(s.rho[:, None], Rt, rng.normal(size=(3, N, M)) * 1e-4, P)
+            _, LH, _ = kernels.eval_state_grids(fr, vin, v, np.zeros(M))
             A_L = direct.assemble_operator(*LH, s, P)
             A_H = direct.assemble_operator(*LH, s, P)
             assert np.array_equal(A_L, A_H)
@@ -139,8 +147,8 @@ class TestFixedPoint:
         assert state.converged
         phi = np.zeros(6)
         Rt = state.C_R @ s.D0t
-        S, LH, FF = kernels.eval_state_grids(s.rho, Rt, state.v_inner, state.v_field,
-                                             s.field_values(state.C), phi, P)
+        fr = model.Frame(s.rho[:, None], Rt, s.field_values(state.C), P)
+        S, LH, FF = kernels.eval_state_grids(fr, state.v_inner, state.v_field, phi)
         for C, F, pair in zip(state.C, S, (LH, LH, FF)):
             A = direct.assemble_operator(*pair, s, P)
             resid = A @ C.reshape(-1) - F.reshape(-1)
@@ -177,6 +185,21 @@ class TestFixedPoint:
             direct.fixed_point_solve(_zero_control(4), s, P, tol=0.0)
         with pytest.raises(ValueError):
             direct.fixed_point_solve(_zero_control(4), s, P, max_iter=0)
+
+    def test_one_frame_per_pass(self, monkeypatch):
+        # each pass builds one frame, and with it runs one occlusion check,
+        # for its velocity solve and the next pass's grids; the zero iterate
+        # that starts the iteration has one more
+        calls = []
+        check = model._check_occlusion
+        monkeypatch.setattr(model, "_check_occlusion",
+                            lambda *a: calls.append(1) or check(*a))
+        s = build_setup(4, 4)
+        for passes in (1, 2, 3):
+            calls.clear()
+            states = direct.fixed_point_batch(np.zeros((2, 4)), s, P, max_iter=passes)
+            assert [st.iterations for st in states] == [passes, passes]
+            assert len(calls) == passes + 1
 
     def test_nan_tolerance_rejected(self):
         # a NaN tol once stopped every member after one pass as converged
@@ -309,9 +332,10 @@ class TestBatch:
 def _grids_after(control, setup, params, steps):
     """Coefficient and source grids of the fixed-point pass after ``steps`` passes."""
     st = direct.fixed_point_solve(control, setup, params, max_iter=steps)
-    return kernels.eval_state_grids(setup.rho, st.radius_nodes(), st.v_inner,
-                                    st.v_field, setup.field_values(st.C),
-                                    control.values_at(setup.t), params)
+    fr = model.Frame(setup.rho[:, None], st.radius_nodes(), setup.field_values(st.C),
+                     params)
+    return kernels.eval_state_grids(fr, st.v_inner, st.v_field,
+                                    control.values_at(setup.t))
 
 
 def _refined_solve(A, B):

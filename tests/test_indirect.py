@@ -81,6 +81,25 @@ class TestOdeRhs:
         assert np.max(np.abs(d0 - d1)) > 0.0
         assert np.allclose(d0[12:26], d1[12:26])
 
+    def test_one_frame_per_call(self, monkeypatch):
+        # one occlusion check and each of the six exponentials once:
+        # exp(+-sl), exp(+-sf) and exp(+-sz)
+        s = build_setup(4, 4)
+        y = np.random.default_rng(7).normal(size=6 * 4 + 2) * 1e-3
+        calls = {"check": 0, "exp": 0}
+        check, exp = model._check_occlusion, np.exp
+
+        def counting(name, fn):
+            def wrapped(*a, **k):
+                calls[name] += 1
+                return fn(*a, **k)
+            return wrapped
+
+        monkeypatch.setattr(model, "_check_occlusion", counting("check", check))
+        monkeypatch.setattr(model.np, "exp", counting("exp", exp))
+        indirect.ode_rhs(0.0, y, s, P, phi=0.0)
+        assert calls == {"check": 1, "exp": 6}
+
 
 class TestSwitchingCheck:
     def test_occluded_state_raises(self):

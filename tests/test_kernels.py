@@ -1,4 +1,4 @@
-"""State-grid evaluation against pointwise model formulas."""
+"""State-grid evaluation against pointwise model formulas, both read from frames."""
 
 import numpy as np
 import pytest
@@ -28,29 +28,24 @@ class TestBackends:
         rho, Rt, vin, v, L, H, F, phi = _random_inputs(4, 3, seed=1)
         X = np.stack([L, H, F])
         (FL, FH, FF), (G11, G12), (G31, G32) = kernels.eval_state_grids(
-            rho, Rt, vin, v, X, phi, P)
+            model.Frame(rho[:, None], Rt, X, P), vin, v, phi)
         for i in range(4):
             for l in range(3):
-                point = X[:, i, l]
+                fr = model.Frame(rho[i], Rt[l], X[:, i, l], P)
                 assert np.isclose(
-                    FL[i, l],
-                    model.rhs(rho[i], Rt[l], vin[l], point, v[i, l], phi[l], P)[0],
-                    rtol=1e-12)
+                    FL[i, l], model.rhs(fr, vin[l], v[i, l], phi[l])[0], rtol=1e-12)
                 assert np.isclose(
-                    FF[i, l],
-                    model.rhs(rho[i], Rt[l], vin[l], point, v[i, l], phi[l], P)[2],
-                    rtol=1e-12)
+                    FF[i, l], model.rhs(fr, vin[l], v[i, l], phi[l])[2], rtol=1e-12)
                 assert np.isclose(
-                    G32[i, l],
-                    model.coeff(rho[i], Rt[l], vin[l], v[i, l], P)[1][1],
-                    rtol=1e-12)
-        assert np.allclose(G11, model.coeff(0.0, Rt, 0.0, 0.0, P)[0][0])
+                    G32[i, l], model.coeff(fr, vin[l], v[i, l])[1][1], rtol=1e-12)
+        assert np.allclose(G11, model.coeff(model.Frame(0.0, Rt, np.zeros(3), P),
+                                            0.0, 0.0)[0][0])
 
     def test_occlusion_guard(self):
         rho, Rt, vin, v, L, H, F, phi = _random_inputs(4, 3, seed=2)
         Rt[1] = 1.0
         with pytest.raises(model.OcclusionError):
-            kernels.eval_state_grids(rho, Rt, vin, v, np.stack([L, H, F]), phi, P)
+            model.Frame(rho[:, None], Rt, np.stack([L, H, F]), P)
 
     def test_backend_name_reports_selection(self):
         assert kernels.backend_name() == "numpy"

@@ -3,12 +3,12 @@
 import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
+from jacobi_reference import jacobi_eval
 
 from plaquectrl.spectral import (
     CollocationSetup,
     build_bases,
     build_setup,
-    jacobi_eval,
     legendre_gauss_nodes,
     legendre_gauss_radau_nodes,
 )
