@@ -333,9 +333,9 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     member = np.arange(B)  # batch index of each member still moving
     C = np.zeros((B, 3, N, M))  # L, H, F coefficient matrices
     C_R = np.zeros((B, M))
-    rho = setup.rho[:, None]
+    pts = model.Points(setup.rho[None, :, None], params)
     # The frame of the iterate: R (B, 1, M) at the time nodes, L, H, F at the nodes
-    fr = model.Frame(rho, np.zeros((B, 1, M)), np.zeros((3, B, N, M)), params)
+    fr = model.Frame(pts, np.zeros((B, 1, M)), np.zeros((3, B, N, M)))
     v_field = np.zeros((B, N, M))
     v_inner = np.zeros((B, M))
     dv_inner = np.zeros((B, M))
@@ -377,8 +377,8 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
         w = omega[:, None]
         C = (1.0 - w[:, :, None, None]) * C + w[:, :, None, None] * C_new
         C_R = (1.0 - w) * C_R + w * C_R_new
-        fr = model.Frame(rho, C_R[:, None] @ setup.D0t,
-                         setup.field_values(C).swapaxes(0, 1), params)
+        fr = model.Frame(pts, C_R[:, None] @ setup.D0t,
+                         setup.field_values(C).swapaxes(0, 1))
         v_field, v_inner, dv_inner, _ = model.velocity_solve(fr, setup)
         moving = delta >= tol
         if not np.all(moving):

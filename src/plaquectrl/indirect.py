@@ -88,39 +88,39 @@ class AdjointSolution:
         return self.blocks[:, k] @ self.setup.D0r
 
 
-def ode_rhs(t, y, setup: CollocationSetup, params: ModelParameters,
+def ode_rhs(t, y, setup: CollocationSetup, pts: model.Points,
             phi: float) -> np.ndarray:
     """Time derivative of the packed state/adjoint collocation system.
 
     Packed layout: [alpha_L | alpha_H | alpha_F | beta_PL | beta_PH |
-    beta_PF | R | P_R].  The six coefficient blocks are handled as one
-    (6, N) array; the spatial mass matrix is inverted by
+    beta_PF | R | P_R].  The six coefficient blocks are one (6, N) array,
+    taken to nodal values, slopes and curvatures by one product with
+    ``setup.D012r``; the spatial mass matrix is inverted by
     ``setup.solve_space_values``, and velocity and its adjoint are
     resolved afresh from the current state.  Every model formula reads one
     :class:`~plaquectrl.model.Frame` of the nodes, which raises
-    :class:`~plaquectrl.model.OcclusionError` if R + eps >= 1.  ``phi`` is
-    the control value in force.
+    :class:`~plaquectrl.model.OcclusionError` if R + eps >= 1; ``pts`` holds
+    the model's factors at ``setup.rho``.  ``phi`` is the control in force.
     """
-    p = params
     N = setup.N
-    R, PR = y[6 * N], y[6 * N + 1]
-    blocks = y[:6 * N].reshape(6, N)
-    values, slopes, curvatures = (blocks @ setup.D0r, blocks @ setup.D1r,
-                                  blocks @ setup.D2r)
+    R, PR = float(y[6 * N]), float(y[6 * N + 1])
+    nodal = y[:6 * N].reshape(6, N) @ setup.D012r
+    values, slopes, curvatures = nodal[:, :N], nodal[:, N:2 * N], nodal[:, 2 * N:]
     X, P = values[:3], values[3:]
-    fr = model.Frame(setup.rho, R, X, p)
+    fr = model.Frame(pts, R, X)
     v, v_inner, dv_inner, dv = model.velocity_solve(fr, setup)
+    v_inner, dv_inner = float(v_inner), float(dv_inner)
     fr.add_adjoint(v)
     Pv = model.adjoint_velocity_solve(fr, P, slopes[:3], setup)
     (g11, g12), (g31, g32) = model.coeff(fr, v_inner, v)
     g42, g62 = model.adjoint_drift(fr, v_inner, v, dv)
     # States:   (2/T) M a' = F_S + G1 (D2' a) - G2 (D1' a);
     # adjoints: (2/T) M b' = F_C - G1 (D2' b) - G2adj (D1' b).
-    G1 = np.array([g11, g11, g31, -g11, -g11, -g31])[:, None]
-    G2 = np.stack([g12, g12, g32, g42, g42, g62])
+    G1 = np.array([[g11], [g11], [g31], [-g11], [-g11], [-g31]])
+    G2 = np.array([g12, g12, g32, g42, g42, g62])
     sources = np.concatenate([model.rhs(fr, v_inner, v, phi),
                               model.adjoint_rhs(fr, P, Pv, phi)])
-    half_T = p.T / 2.0
+    half_T = pts.params.T / 2.0
     dy = np.empty_like(y)
     dy[:6 * N] = half_T * setup.solve_space_values(
         (sources + G1 * curvatures - G2 * slopes).T).T.ravel()
@@ -167,15 +167,17 @@ def _control_from_xi(xi_value, phi_prev, Kbound):
     return phi_prev, True
 
 
-def _xi_at_inner(y, setup, params):
+def _xi_at_inner(y, setup, inner: model.Points):
     """Switching function at rho = -1 for the packed state.
 
-    The P_F exponent carries the factor (1 + rho), so at rho = -1 the
-    switching function does not depend on the velocity.
+    ``inner`` holds the model's factors at rho = -1.  The P_F exponent
+    carries the factor (1 + rho), so at rho = -1 the switching function
+    does not depend on the velocity; the frame computes only exp(-sl),
+    exp(-sf) and exp(-sz) = 1.
     """
     N = setup.N
     X, P = y[:6 * N].reshape(2, 3, N) @ setup.space_at_m1
-    fr = model.Frame(-1.0, y[6 * N], X, params)
+    fr = model.Frame(inner, float(y[6 * N]), X)
     fr.add_adjoint(0.0)
     return float(model.switching_xi(fr, P))
 
@@ -198,9 +200,10 @@ def _integrate_with_control(y0, setup, params, n_steps):
     phi_prev = 0.0
     xi_prev = None
     traj[0] = y
+    pts, inner = model.Points(setup.rho, params), model.Points(-1.0, params)
     for n in range(grid.size):
         t = grid[n]
-        xi = _xi_at_inner(y, setup, params)
+        xi = _xi_at_inner(y, setup, inner)
         phi, tie = _control_from_xi(xi, phi_prev, params.Kbound)
         phi_samples[n] = phi
         tie_mask[n] = tie
@@ -211,7 +214,7 @@ def _integrate_with_control(y0, setup, params, n_steps):
         phi_prev = phi
         if n == grid.size - 1:
             break
-        y = rk4_step(lambda tt, yy: ode_rhs(tt, yy, setup, params, phi), t, y, h)
+        y = rk4_step(lambda tt, yy: ode_rhs(tt, yy, setup, pts, phi), t, y, h)
         if not np.all(np.isfinite(y)):
             raise IntegrationError(float(grid[n + 1]))
         traj[n + 1] = y
@@ -264,7 +267,7 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
     terminal residual below ``tol`` in sup-norm; the trajectories and the
     recovered bang-bang control are those of the sweep that gave the
     returned residual.  On instability the RK4 step is halved once (step
-    count doubled) before giving up.
+    count doubled) before giving up; a blown-up Jacobian probe ends Newton.
     """
     N = setup.N
     dim = 3 * N + 1
@@ -281,12 +284,11 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
     converged = best_norm < tol
     while not converged and it < max_iter:
         it += 1
-        J = np.empty((dim, dim))
-        for j in range(dim):
-            sp = s.copy()
-            sp[j] += JAC_STEP
-            rp = shooting_residual(ShootingVector(sp), setup, params, n_steps)
-            J[:, j] = (rp - res) / JAC_STEP
+        probes = np.array([shooting_residual(ShootingVector(s + JAC_STEP * e), setup,
+                                             params, n_steps) for e in np.eye(dim)])
+        if np.all(probes == RESIDUAL_SENTINEL, axis=1).any():
+            break  # a blown-up probe would enter J as a column of about 1e12
+        J = (probes - res).T / JAC_STEP
         col_norms = np.linalg.norm(J, axis=0)
         bad = np.where(col_norms < 1e-14)[0]
         if bad.size:

@@ -29,7 +29,7 @@ def eval_state_grids(fr: model.Frame, vin, v, phi):
     H, F stacked like X, then the (diffusion, drift) pair of the L/H
     operator and of the F operator (:func:`model.coeff`); the diffusions are
     shaped ``(M,)``, as they do not depend on rho.  A batch of B iterates
-    has a frame with ``R (B, 1, M)`` and ``X (3, B, N, M)`` and passes
+    has a frame at ``rho (1, N, 1)``, ``R (B, 1, M)``, ``X (3, B, N, M)``, passes
     ``vin/phi`` as ``(B, 1, M)`` and ``v`` as ``(B, N, M)``; every grid then
     gains the batch axis, and the diffusions are ``(B, 1, M)``.
     """

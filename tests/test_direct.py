@@ -79,7 +79,8 @@ class TestOperator:
             s = build_setup(N, M)
             Rt, vin, v = (rng.uniform(0.0, 0.2, M), rng.normal(size=M),
                           rng.normal(size=(N, M)))
-            fr = model.Frame(s.rho[:, None], Rt, rng.normal(size=(3, N, M)) * 1e-4, P)
+            fr = model.Frame(model.Points(s.rho[:, None], P), Rt,
+                             rng.normal(size=(3, N, M)) * 1e-4)
             _, LH, _ = kernels.eval_state_grids(fr, vin, v, np.zeros(M))
             A_L = direct.assemble_operator(*LH, s, P)
             A_H = direct.assemble_operator(*LH, s, P)
@@ -147,7 +148,7 @@ class TestFixedPoint:
         assert state.converged
         phi = np.zeros(6)
         Rt = state.C_R @ s.D0t
-        fr = model.Frame(s.rho[:, None], Rt, s.field_values(state.C), P)
+        fr = model.Frame(model.Points(s.rho[:, None], P), Rt, s.field_values(state.C))
         S, LH, FF = kernels.eval_state_grids(fr, state.v_inner, state.v_field, phi)
         for C, F, pair in zip(state.C, S, (LH, LH, FF)):
             A = direct.assemble_operator(*pair, s, P)
@@ -332,8 +333,8 @@ class TestBatch:
 def _grids_after(control, setup, params, steps):
     """Coefficient and source grids of the fixed-point pass after ``steps`` passes."""
     st = direct.fixed_point_solve(control, setup, params, max_iter=steps)
-    fr = model.Frame(setup.rho[:, None], st.radius_nodes(), setup.field_values(st.C),
-                     params)
+    fr = model.Frame(model.Points(setup.rho[:, None], params), st.radius_nodes(),
+                     setup.field_values(st.C))
     return kernels.eval_state_grids(fr, st.v_inner, st.v_field,
                                     control.values_at(setup.t))
 

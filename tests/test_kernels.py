@@ -28,24 +28,24 @@ class TestBackends:
         rho, Rt, vin, v, L, H, F, phi = _random_inputs(4, 3, seed=1)
         X = np.stack([L, H, F])
         (FL, FH, FF), (G11, G12), (G31, G32) = kernels.eval_state_grids(
-            model.Frame(rho[:, None], Rt, X, P), vin, v, phi)
+            model.Frame(model.Points(rho[:, None], P), Rt, X), vin, v, phi)
         for i in range(4):
             for l in range(3):
-                fr = model.Frame(rho[i], Rt[l], X[:, i, l], P)
+                fr = model.Frame(model.Points(rho[i], P), Rt[l], X[:, i, l])
                 assert np.isclose(
                     FL[i, l], model.rhs(fr, vin[l], v[i, l], phi[l])[0], rtol=1e-12)
                 assert np.isclose(
                     FF[i, l], model.rhs(fr, vin[l], v[i, l], phi[l])[2], rtol=1e-12)
                 assert np.isclose(
                     G32[i, l], model.coeff(fr, vin[l], v[i, l])[1][1], rtol=1e-12)
-        assert np.allclose(G11, model.coeff(model.Frame(0.0, Rt, np.zeros(3), P),
-                                            0.0, 0.0)[0][0])
+        assert np.allclose(G11, model.coeff(model.Frame(model.Points(0.0, P), Rt,
+                                                        np.zeros(3)), 0.0, 0.0)[0][0])
 
     def test_occlusion_guard(self):
         rho, Rt, vin, v, L, H, F, phi = _random_inputs(4, 3, seed=2)
         Rt[1] = 1.0
         with pytest.raises(model.OcclusionError):
-            model.Frame(rho[:, None], Rt, np.stack([L, H, F]), P)
+            model.Frame(model.Points(rho[:, None], P), Rt, np.stack([L, H, F]))
 
     def test_backend_name_reports_selection(self):
         assert kernels.backend_name() == "numpy"

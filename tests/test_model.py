@@ -14,7 +14,7 @@ Z3 = np.zeros(3)
 
 def _frame(rho, R, X=Z3, p=P, v=None):
     """The model's frame at one point; with ``v``, its adjoint pieces too."""
-    fr = model.Frame(rho, R, X, p)
+    fr = model.Frame(model.Points(rho, p), R, X)
     if v is not None:
         fr.add_adjoint(v)
     return fr
@@ -49,18 +49,18 @@ class TestParameters:
 
 class TestExponents:
     def test_sl_zero_at_outer_edge(self):
-        assert _frame(1.0, 0.3).sl == 0.0
+        assert _frame(1.0, 0.3).s[0] == 0.0
 
     def test_sz_zero_at_inner_edge(self):
         assert _frame(-1.0, 0.2, v=0.7).sz == 0.0
 
     def test_sl_substitution_value(self):
         p = P.with_overrides(alpha=1.0, eps=0.01)
-        assert np.isclose(_frame(-1.0, 0.0, p=p).sl, -0.495, atol=1e-15)
+        assert np.isclose(_frame(-1.0, 0.0, p=p).s[0], -0.495, atol=1e-15)
 
     def test_sf_uses_beta(self):
         fr = _frame(-1.0, 0.0)
-        assert np.isclose(fr.sf, (P.beta / P.alpha) * fr.sl)
+        assert np.isclose(fr.s[2], (P.beta / P.alpha) * fr.s[0])
 
 
 class TestCoefficients:
@@ -186,7 +186,8 @@ class TestVelocitySolve:
         self.setup = build_setup(8, 8)
 
     def _solve(self, R, X, p=P):
-        return model.velocity_solve(model.Frame(self.setup.rho, R, X, p), self.setup)
+        return model.velocity_solve(model.Frame(model.Points(self.setup.rho, p), R, X),
+                                    self.setup)
 
     def test_zero_without_sources(self):
         p = P.with_overrides(lam=0.0, mu1=0.0, mu2=0.0)
@@ -218,7 +219,7 @@ class TestVelocitySolve:
         z = np.zeros(8)
         adjoints = np.stack([z, z, rng.normal(size=8)])
         slopes = np.stack([z, z, rng.normal(size=8)])
-        fr = model.Frame(self.setup.rho, 0.1, X, P)
+        fr = model.Frame(model.Points(self.setup.rho, P), 0.1, X)
         fr.add_adjoint(v)
         Pv = model.adjoint_velocity_solve(fr, adjoints, slopes, self.setup)
         assert Pv.shape == (8,)
@@ -226,8 +227,8 @@ class TestVelocitySolve:
         # beta = 0 and v = F = 0 make every exponent vanish: dP_v/drho = dF P_F,
         # so dF = 1 and P_F = c give the line through (-1, 0), P_v = c (rho + 1)
         c = 0.37
-        fr = model.Frame(self.setup.rho, 0.1, np.zeros((3, 8)),
-                         P.with_overrides(beta=0.0))
+        fr = model.Frame(model.Points(self.setup.rho, P.with_overrides(beta=0.0)), 0.1,
+                         np.zeros((3, 8)))
         fr.add_adjoint(z)
         Pv = model.adjoint_velocity_solve(fr, np.stack([z, z, np.full(8, c)]),
                                           np.stack([z, z, np.ones(8)]), self.setup)
@@ -238,7 +239,14 @@ class TestVelocitySolve:
             self._solve(1.0 - P.eps, np.zeros((3, 8)))
         z = np.zeros((3, 8, 3))  # one occluded time column among several
         with pytest.raises(OcclusionError):
-            model.Frame(self.setup.rho[:, None], np.array([0.0, 1.0 - P.eps, 0.1]), z, P)
+            model.Frame(model.Points(self.setup.rho[:, None], P),
+                        np.array([0.0, 1.0 - P.eps, 0.1]), z)
+
+    def test_non_finite_source_raises(self):
+        X = np.zeros((3, 8))
+        X[2, 3] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            self._solve(0.1, X)
 
     def test_time_columns_match_single_solves(self):
         rng = np.random.default_rng(3)
@@ -246,7 +254,7 @@ class TestVelocitySolve:
         R = rng.uniform(0.0, 0.3, M)
         X = np.stack([rng.uniform(0.0, 2e-3, (8, M)) for _ in range(3)])
         v, vi, dvi, dv = model.velocity_solve(
-            model.Frame(self.setup.rho[:, None], R, X, P), self.setup)
+            model.Frame(model.Points(self.setup.rho[:, None], P), R, X), self.setup)
         assert v.shape == dv.shape == (8, M) and vi.shape == dvi.shape == (M,)
         for l in range(M):
             v1, vi1, dvi1, dv1 = self._solve(R[l], X[:, :, l])
@@ -254,3 +262,38 @@ class TestVelocitySolve:
                                     (dvi[l], dvi1), (dv[:, l], dv1)):
                 assert (np.max(np.abs(batched - single))
                         <= 1e-14 * np.max(np.abs(single)))
+
+
+class TestBatchFrame:
+    def test_members_match_batches_of_one_bit_for_bit(self):
+        # a fixed-point member takes the same passes as its batch of one, so
+        # no formula may round a member differently inside a batch; B = 3
+        # also catches a batch axis broadcast against the three fields
+        rng = np.random.default_rng(17)
+        N, M, B = 6, 5, 3
+        setup = build_setup(N, M)
+        pts = model.Points(setup.rho[None, :, None], P)
+        R = rng.uniform(0.0, 0.2, (B, 1, M))
+        X = rng.normal(size=(3, B, N, M)) * 1e-4
+        vin, phi = rng.normal(size=(B, 1, M)) * 0.05, rng.uniform(0.0, 1.0, (B, 1, M))
+        v = rng.normal(size=(B, N, M)) * 0.05
+
+        def evaluate(members):
+            fr = model.Frame(pts, R[members], X[:, members])
+            S = model.rhs(fr, vin[members], v[members], phi[members])
+            (g11, g12), (g31, g32) = model.coeff(fr, vin[members], v[members])
+            return [S.swapaxes(0, 1), g11, g12, g31, g32,
+                    *model.velocity_solve(fr, setup)]  # batch axis first
+
+        batch = evaluate(slice(None))
+        for b in range(B):
+            for got, alone in zip(batch, evaluate(slice(b, b + 1))):
+                assert got.shape[0] == B and np.array_equal(got[b:b + 1], alone)
+
+    def test_frame_rejects_points_without_the_batch_axis(self):
+        # rho (N, 1) against X (3, B, N, M) would broadcast the fields
+        # against the members when B = 3
+        setup = build_setup(4, 2)
+        with pytest.raises(ValueError, match="one axis"):
+            model.Frame(model.Points(setup.rho[:, None], P), np.zeros((3, 1, 2)),
+                        np.zeros((3, 3, 4, 2)))
