@@ -21,18 +21,21 @@ terms of a map on batches of coefficient matrices
 :func:`~plaquectrl.spectral.build_setup` built for the grid.  A system with
 at most ``DENSE_MAX_UNKNOWNS`` unknowns N*M is assembled from those terms
 applied to the identity, which the setup builds once on first use
-(:func:`assemble_operator`, one operator per batch member), and solved by
-one batched dense LU.  A larger one is never formed:
-GMRES applies the map, member by member, and is preconditioned by a
-Sylvester equation solved by Bartels-Stewart
-(:func:`_solve_matrix_free`).  The cut-off sits
-where the dense solve stops winning.  Whole fixed-point solves (default
-parameters, zero control, 2-vCPU VM, OpenBLAS threads at their default)
-take, dense against GMRES: 0.021 s against 0.112 s at 9 x 9 (81 unknowns),
-0.035 s against 0.122 s at 11 x 9 (99), 0.19 s against 0.09 s at 10 x 10
-(100), 0.37 s against 0.15 s at 16 x 16 and 4.4 s against 0.26 s at
-32 x 32.  Both paths take the same fixed-point iterations and agree on J
-to 1e-15.
+(:func:`assemble_operator`, one operator per batch member) into buffers that
+:func:`fixed_point_batch` allocates once per call (per-pass temporaries
+would be mapped and faulted in afresh by the C allocator), and solved by one
+batched dense LU.  A larger system is never formed: GMRES applies the map,
+member by member, preconditioned by a Sylvester equation solved by
+Bartels-Stewart (:func:`_solve_matrix_free`), the only user of
+``scipy.linalg``, which it imports (about 0.27 s): small grids load numpy
+only.  Whole fixed-point solves (default parameters, zero control, 2-vCPU
+VM, OpenBLAS threads at their default; dense without scipy loaded, GMRES
+after its import) take, dense against GMRES: 0.019 s against 0.088 s at
+9 x 9 (81 unknowns), 0.025 s against 0.078 s at 11 x 9 (99), 0.022 s
+against 0.088 s at 10 x 10 (100), 0.11 s against 0.11 s at 16 x 16 and
+3.1 s against 0.31 s at 32 x 32.  Dense wins up to about 16 x 16; moving
+the cut-off would change the rounding of every grid in between.  Both paths
+take the same fixed-point iterations and agree on J to 1e-15.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular
-from scipy.linalg.lapack import dtrsyl
 
 from . import kernels, model
 from .nlp import NlpOptions, NlpProblem, sqp_minimize
@@ -165,7 +166,7 @@ def _apply_operator(g1, G2, setup, params, C):
 
 
 def assemble_operator(g1, G2, setup: CollocationSetup,
-                      params: ModelParameters) -> np.ndarray:
+                      params: ModelParameters, out=None) -> np.ndarray:
     """Square (N*M) collocation operator with diffusion g1 (M,) and drift G2 (N, M).
 
     (g1, G2) is one of the pairs returned by
@@ -176,29 +177,32 @@ def assemble_operator(g1, G2, setup: CollocationSetup,
     :attr:`~plaquectrl.spectral.CollocationSetup.operator_matrices`, the
     terms of :func:`_apply_operator` applied to the identity, with G2 and g1
     scaling their rows.  Grids of a batch of iterates, G2 (B, N, M) and
-    g1 (B, 1, M), give the B operators (B, n, n).
+    g1 (B, 1, M), give the B operators (B, n, n), written into the first of
+    the buffers ``out`` = (operator, scratch), if given, and returned.
     """
     time, drift, diffusion = setup.operator_matrices
     rows = np.shape(G2)[:-2] + (setup.N * setup.M, 1)
-    A = np.reshape(G2, rows) * drift
+    A, scratch = (None, None) if out is None else out
+    A = np.multiply(np.reshape(G2, rows), drift, out=A)
     A += (2.0 / params.T) * time
-    A -= np.broadcast_to(g1, np.shape(G2)).reshape(rows) * diffusion
+    A -= np.multiply(np.broadcast_to(g1, np.shape(G2)).reshape(rows), diffusion,
+                     out=scratch)
     return A
 
 
-def _solve_fields(g1, G2, setup, params, sources, name):
+def _solve_fields(g1, G2, setup, params, sources, name, work):
     """Coefficient matrices (k, B, N, M) for sources (k, B, N, M), fields first.
 
     g1 (B, 1, M) and G2 (B, N, M) carry the member axis B; ``name`` names
     the system in errors.  At or below ``DENSE_MAX_UNKNOWNS`` unknowns the B
-    operators are assembled and solved by one batched dense LU; above it
-    each member's sources are solved matrix-free.
+    operators are assembled into ``work`` (2, >= B, n, n) and solved by one
+    batched dense LU; above it each member's sources are solved matrix-free.
     """
     if setup.N * setup.M > DENSE_MAX_UNKNOWNS:
         return np.stack([_solve_matrix_free(g1[b], G2[b], setup, params,
                                             sources[:, b], name)
                          for b in range(len(G2))], axis=1)
-    A = assemble_operator(g1, G2, setup, params)
+    A = assemble_operator(g1, G2, setup, params, out=work[:, :len(G2)])
     k, B = sources.shape[:2]
     try:
         sol = np.linalg.solve(A, sources.reshape(k, B, -1).transpose(1, 2, 0))
@@ -221,6 +225,8 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name):
     preconditioner.  D0r'^-1, D0t^-1 and K come from the setup.  ``sources``
     is (k, N, M) and so is the result.
     """
+    from scipy.linalg import lapack, schur
+
     N, M = setup.N, setup.M
     c = 2.0 / params.T
     d = 1.0 / np.ravel(g1)
@@ -231,7 +237,7 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name):
     to_coeffs = V.T @ setup.D0t_inv
 
     def precondition(r):
-        Y, scale, _ = dtrsyl(S, Tb, to_schur @ r.reshape(N, M) @ from_schur)
+        Y, scale, _ = lapack.dtrsyl(S, Tb, to_schur @ r.reshape(N, M) @ from_schur)
         return (U @ Y @ to_coeffs).ravel() / scale
 
     def apply(x):
@@ -252,6 +258,8 @@ def _gmres(apply, precondition, b, name):
     :class:`NonConvergenceError` after ``GMRES_MAX_ITER`` iterations or on a
     non-finite residual.
     """
+    from scipy.linalg import solve_triangular
+
     x = np.zeros_like(b)
     r = b
     target = GMRES_RTOL * np.linalg.norm(b)
@@ -326,8 +334,8 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     sweep.  A non-finite update of any member raises
     :class:`NonConvergenceError`.
     """
-    if not tol > 0.0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter >= 1")
+    if not 0.0 < tol < np.inf or max_iter < 1:
+        raise ValueError("tol must be positive and finite, and max_iter >= 1")
     phi = np.asarray(phi, dtype=float)
     B, (N, M) = len(phi), (setup.N, setup.M)
     member = np.arange(B)  # batch index of each member still moving
@@ -343,6 +351,10 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     omega = np.ones(B)
     history = [[] for _ in range(B)]
     states = [None] * B
+    # Shared by L/H and F, each solved before the next is assembled; column-major
+    # like the setup's operator matrices, as C order makes assembly a third slower.
+    work = (np.empty((2, B, N * M, N * M)).swapaxes(2, 3)
+            if N * M <= DENSE_MAX_UNKNOWNS else None)
 
     def freeze(keep, converged, iterations):
         """Record the members not in ``keep`` as states and drop them."""
@@ -358,8 +370,8 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     for it in range(1, max_iter + 1):
         S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field,
                                             phi[:, None])
-        C_new = np.concatenate([_solve_fields(*LH, setup, params, S[:2], "L"),
-                                _solve_fields(*F, setup, params, S[2:], "F")]
+        C_new = np.concatenate([_solve_fields(*LH, setup, params, S[:2], "L", work),
+                                _solve_fields(*F, setup, params, S[2:], "F", work)]
                                ).swapaxes(0, 1)
         # One row product per member, never one product over the batch, so
         # that no member's rounding depends on the batch it is in.

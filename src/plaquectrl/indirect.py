@@ -269,6 +269,8 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
     returned residual.  On instability the RK4 step is halved once (step
     count doubled) before giving up; a blown-up Jacobian probe ends Newton.
     """
+    if not 0.0 < tol < np.inf or max_iter < 0:
+        raise ValueError("tol must be positive and finite, and max_iter >= 0")
     N = setup.N
     dim = 3 * N + 1
     s = np.zeros(dim)

@@ -52,8 +52,9 @@ class NlpProblem:
             raise ValueError("bounds must have shape (dimension,)")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
-        if not self.options.grad_step > 0.0:
-            raise ValueError("gradient step must be positive")
+        o = self.options
+        if not (0.0 < o.grad_step < np.inf and 0.0 < o.tol < np.inf) or o.max_iter < 0:
+            raise ValueError("grad_step and tol must be positive and finite, max_iter >= 0")
 
 
 @dataclass

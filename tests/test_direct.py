@@ -86,6 +86,15 @@ class TestOperator:
             A_H = direct.assemble_operator(*LH, s, P)
             assert np.array_equal(A_L, A_H)
 
+    def test_out_buffers_receive_the_operator(self):
+        rng = np.random.default_rng(3)
+        s = build_setup(8, 8)
+        g1, G2 = rng.uniform(1.0, 5.0, (3, 1, 8)), rng.normal(size=(3, 8, 8))
+        buf, scratch = np.full((2, 3, 64, 64), np.nan)
+        A = direct.assemble_operator(g1, G2, s, P, out=(buf, scratch))
+        assert A is buf
+        assert np.array_equal(A, direct.assemble_operator(g1, G2, s, P))
+
     def test_matches_kronecker_formula(self):
         rng = np.random.default_rng(5)
         for N, M in [(3, 5), (8, 8)]:
@@ -201,6 +210,12 @@ class TestFixedPoint:
             states = direct.fixed_point_batch(np.zeros((2, 4)), s, P, max_iter=passes)
             assert [st.iterations for st in states] == [passes, passes]
             assert len(calls) == passes + 1
+
+    def test_infinite_tolerance_rejected(self):
+        # tol = inf once stopped every member after one pass as converged
+        with pytest.raises(ValueError):
+            direct.fixed_point_batch(np.zeros((2, 4)), build_setup(4, 4), P,
+                                     tol=np.inf)
 
     def test_nan_tolerance_rejected(self):
         # a NaN tol once stopped every member after one pass as converged

@@ -1,22 +1,80 @@
-"""Import cost of the package: heavy SciPy submodules stay unloaded."""
+"""Import cost of the package: heavy SciPy submodules stay unloaded, and the
+small-grid paths never load scipy.linalg."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import plaquectrl
 
 # On top of the package, importing scipy.sparse.linalg adds about 30 ms and
-# 2.4 MB of peak RSS, and scipy.special about 70 ms and 2.6 MB (2-vCPU VM);
-# the solvers need neither.
-HEAVY = ("scipy.sparse.linalg", "scipy.special")
+# 2.4 MB of peak RSS, scipy.special about 70 ms and 2.6 MB, and scipy.linalg
+# about 0.27 s and 21-26 MB (2-vCPU VM).  Only the matrix-free solve above
+# direct.DENSE_MAX_UNKNOWNS unknowns needs scipy.linalg, and it imports it.
+HEAVY = ("scipy.sparse.linalg", "scipy.special", "scipy.linalg")
+
+
+def _run(code, **env):
+    """Standard output of ``code`` run by a fresh interpreter on this package,
+    with ``env`` added to the environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(plaquectrl.__file__).parents[1]), **env)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=300, check=True)
+    return out.stdout.strip()
 
 
 def test_package_imports_load_no_heavy_scipy_module():
-    code = ("import sys, plaquectrl, plaquectrl.cli, plaquectrl.verify; "
-            f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(Path(plaquectrl.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=120, check=True)
-    assert out.stdout.strip() == ""
+    assert _run("import sys, plaquectrl, plaquectrl.cli, plaquectrl.verify; "
+                f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))") == ""
+
+
+def test_scipy_linalg_loads_only_for_the_matrix_free_solve():
+    out = _run("""
+import sys
+import numpy as np
+from plaquectrl import direct, indirect
+from plaquectrl.nlp import NlpOptions
+from plaquectrl.params import ModelParameters
+from plaquectrl.spectral import build_setup
+P = ModelParameters()
+direct.solve_direct(build_setup(8, 8), P, nlp_options=NlpOptions(max_iter=1))
+indirect.shooting_residual(indirect.ShootingVector(np.zeros(25)), build_setup(8, 8),
+                           P, n_steps=50)
+print('scipy.linalg' in sys.modules)
+s = build_setup(10, 10)
+assert s.N * s.M > direct.DENSE_MAX_UNKNOWNS
+state = direct.fixed_point_solve(direct.ControlVector(np.zeros(10), P.Kbound), s, P)
+print('scipy.linalg' in sys.modules, state.converged)
+""")
+    assert out.split() == ["False", "True", "True"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults with getrusage")
+def test_dense_pass_allocates_no_fresh_pages():
+    # Until a process frees a large mapped block, which raises the threshold
+    # (importing scipy.linalg appears to), glibc maps every block above
+    # 128 KB afresh, so a per-pass (B, n, n) temporary (229 KB at B = 7,
+    # 8 x 8) faults in all its pages on every pass: 228 faults per pass.  The
+    # threshold is pinned there, so the count does not depend on what the
+    # process did before.  The workspace of fixed_point_batch leaves about
+    # 4.5, from mapping the workspace itself.
+    out = _run("""
+import resource, sys
+import numpy as np
+from plaquectrl import direct
+from plaquectrl.params import ModelParameters
+from plaquectrl.spectral import build_setup
+P, s = ModelParameters(), build_setup(8, 8)
+phi = np.linspace(0.0, P.Kbound, 7)[:, None] * np.ones(8)
+direct.fixed_point_batch(phi, s, P)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+states = direct.fixed_point_batch(phi, s, P)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+assert 'scipy.linalg' not in sys.modules
+print(faults / max(st.iterations for st in states))
+""", MALLOC_MMAP_THRESHOLD_="131072")
+    assert float(out) < 20

@@ -181,6 +181,14 @@ class TestSolveIndirect:
         on_bound = (sol.phi == 0.0) | (sol.phi == P.Kbound)
         assert np.all(on_bound)
 
+    @pytest.mark.parametrize("bad", [dict(tol=np.inf), dict(tol=np.nan),
+                                     dict(tol=-1.0), dict(tol=0.0),
+                                     dict(max_iter=-1)])
+    def test_tolerances_that_fake_convergence_rejected(self, bad):
+        # tol = inf once reported convergence with no Newton iteration
+        with pytest.raises(ValueError):
+            indirect.solve_indirect(build_setup(4, 4), P, n_steps=100, **bad)
+
     def test_returned_vector_is_integrated_once(self, monkeypatch):
         sweeps = []
         integrate = indirect._integrate_with_control

@@ -68,6 +68,16 @@ class TestFdGradient:
         with pytest.raises(ValueError):
             _problem(lambda x: 0.0, [0.0], [1.0], grad_step=np.nan)
 
+    @pytest.mark.parametrize("bad", [dict(grad_step=np.inf), dict(tol=np.inf),
+                                     dict(tol=np.nan), dict(tol=0.0),
+                                     dict(max_iter=-3)])
+    def test_options_that_fake_convergence_rejected(self, bad):
+        # grad_step = inf or tol = inf once reported convergence at x0 = 0
+        # for min |x - 0.7|^2
+        with pytest.raises(ValueError):
+            _problem(lambda x: float(np.sum((x - 0.7) ** 2)), [0.0, 0.0],
+                     [1.0, 1.0], **bad)
+
 
 class TestQpSubproblem:
     def test_unconstrained_minimizer(self):
