@@ -136,8 +136,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from None
     grid, solver, run = resolved["grid"], resolved["solver"], resolved["run"]
-    for key, low in (("N", 1), ("M", 1), ("fp_max_iter", 1), ("rk4_steps", 2),
-                     ("sqp_max_iter", 0), ("shoot_max_iter", 0)):
+    for key, low in (("N", 1), ("M", 1), ("fp_max_iter", 1), ("sqp_max_iter", 0),
+                     ("shoot_max_iter", 0), ("rk4_steps", indirect.RK4_MIN_STEPS)):
         if {**grid, **solver}[key] < low:
             raise ConfigError(f"{key} must be >= {low}")
     for key in ("fp_tol", "sqp_tol", "shoot_tol", "grad_step"):

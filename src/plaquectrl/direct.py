@@ -135,7 +135,6 @@ class StateSolution:
     C_R: np.ndarray
     v_field: np.ndarray
     v_inner: np.ndarray
-    dv_inner: np.ndarray
     residual_history: list
     converged: bool
     iterations: int
@@ -194,15 +193,16 @@ def _solve_fields(g1, G2, setup, params, sources, name, work):
     """Coefficient matrices (k, B, N, M) for sources (k, B, N, M), fields first.
 
     g1 (B, 1, M) and G2 (B, N, M) carry the member axis B; ``name`` names
-    the system in errors.  At or below ``DENSE_MAX_UNKNOWNS`` unknowns the B
-    operators are assembled into ``work`` (2, >= B, n, n) and solved by one
-    batched dense LU; above it each member's sources are solved matrix-free.
+    the system in errors.  Given buffers ``work`` (2, B, n, n), which
+    :func:`fixed_point_batch` allocates only up to ``DENSE_MAX_UNKNOWNS``
+    unknowns, the B operators are assembled into them and solved by one
+    batched dense LU; without, each member's sources are solved matrix-free.
     """
-    if setup.N * setup.M > DENSE_MAX_UNKNOWNS:
+    if work is None:
         return np.stack([_solve_matrix_free(g1[b], G2[b], setup, params,
                                             sources[:, b], name)
                          for b in range(len(G2))], axis=1)
-    A = assemble_operator(g1, G2, setup, params, out=work[:, :len(G2)])
+    A = assemble_operator(g1, G2, setup, params, out=work)
     k, B = sources.shape[:2]
     try:
         sol = np.linalg.solve(A, sources.reshape(k, B, -1).transpose(1, 2, 0))
@@ -316,90 +316,79 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     All coefficient and source grids are frozen at the previous iterate; the
     boundary ODE (2/T) R' = v(-1, t) is advanced with the previous velocity.
     L and H share one operator, solved once with both sources.  A member
-    stops when the sup-norm delta of its stacked coefficients drops below
-    ``tol`` and is frozen from then on; a member still moving after
-    ``max_iter`` passes is returned with ``converged=False``.  Each pass
-    solves the members still moving together: one batched dense solve for
-    L/H and one for F, or GMRES member by member above
-    ``DENSE_MAX_UNKNOWNS``.  Every member takes the same passes, and gives
-    bit for bit the same state, as a batch of one.  Each pass builds one
-    :class:`~plaquectrl.model.Frame` of the new iterate, which serves its
-    velocity solve and the next pass's grids.
+    converges when the sup-norm delta of its stacked coefficients drops
+    below ``tol``; from then on its iterate is held exactly in place while
+    the others move on.  A member still moving after ``max_iter`` passes is
+    returned with ``converged=False``.  Each pass solves the whole batch
+    together: one batched dense solve for L/H and one for F, or GMRES member
+    by member above ``DENSE_MAX_UNKNOWNS``.  Every member takes the same
+    passes, and gives bit for bit the same state, as a batch of one.  Each
+    pass builds one :class:`~plaquectrl.model.Frame` of the new iterate,
+    which serves its velocity solve and the next pass's grids.
 
     Updates are under-relaxed adaptively, per member: the blend weight
     halves whenever the raw update delta grows and recovers toward 1 as it
     contracts.  Any limit of the damped sweep is a fixed point of the
     undamped map, so the converged solution is unaffected; the damping only
     stabilizes the transient, which diverges on coarse grids under the plain
-    sweep.  A non-finite update of any member raises
+    sweep.  A non-finite update of a moving member raises
     :class:`NonConvergenceError`.
     """
     if not 0.0 < tol < np.inf or max_iter < 1:
         raise ValueError("tol must be positive and finite, and max_iter >= 1")
     phi = np.asarray(phi, dtype=float)
+    if phi.shape[1:] != (setup.M,) or not (phi.size and np.isfinite(phi).all()):
+        raise ValueError(f"phi must be a finite (B, {setup.M}) array, B >= 1")
     B, (N, M) = len(phi), (setup.N, setup.M)
-    member = np.arange(B)  # batch index of each member still moving
     C = np.zeros((B, 3, N, M))  # L, H, F coefficient matrices
     C_R = np.zeros((B, M))
     pts = model.Points(setup.rho[None, :, None], params)
     # The frame of the iterate: R (B, 1, M) at the time nodes, L, H, F at the nodes
     fr = model.Frame(pts, np.zeros((B, 1, M)), np.zeros((3, B, N, M)))
-    v_field = np.zeros((B, N, M))
-    v_inner = np.zeros((B, M))
-    dv_inner = np.zeros((B, M))
-    last = np.full(B, np.inf)  # previous update delta
-    omega = np.ones(B)
+    v_field, v_inner = np.zeros((B, N, M)), np.zeros((B, M))
+    last, omega = np.full(B, np.inf), np.ones(B)  # previous update delta, blend weight
+    passes = np.zeros(B, dtype=int)  # pass each member converged at, 0 while moving
     history = [[] for _ in range(B)]
-    states = [None] * B
     # Shared by L/H and F, each solved before the next is assembled; column-major
     # like the setup's operator matrices, as C order makes assembly a third slower.
     work = (np.empty((2, B, N * M, N * M)).swapaxes(2, 3)
             if N * M <= DENSE_MAX_UNKNOWNS else None)
 
-    def freeze(keep, converged, iterations):
-        """Record the members not in ``keep`` as states and drop them."""
-        for b in np.flatnonzero(~keep):
-            states[member[b]] = StateSolution(
-                C=C[b].copy(), C_R=C_R[b].copy(), v_field=v_field[b].copy(),
-                v_inner=v_inner[b].copy(), dv_inner=dv_inner[b].copy(),
-                residual_history=history[member[b]], converged=converged,
-                iterations=iterations, setup=setup)
-        return fr.take(keep), *(a[keep] for a in (member, C, C_R, v_field, v_inner,
-                                                  dv_inner, last, omega, phi))
-
     for it in range(1, max_iter + 1):
-        S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field,
-                                            phi[:, None])
+        S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])
         C_new = np.concatenate([_solve_fields(*LH, setup, params, S[:2], "L", work),
                                 _solve_fields(*F, setup, params, S[2:], "F", work)]
                                ).swapaxes(0, 1)
         # One row product per member, never one product over the batch, so
         # that no member's rounding depends on the batch it is in.
         C_R_new = (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]
-        delta = np.maximum(np.abs(C_new - C).reshape(len(C), -1).max(axis=1),
+        delta = np.maximum(np.abs(C_new - C).reshape(B, -1).max(axis=1),
                            np.abs(C_R_new - C_R).max(axis=1))
-        if not np.all(np.isfinite(delta)):
+        moving = passes == 0
+        if not np.all(np.isfinite(delta[moving])):
             raise NonConvergenceError(f"non-finite update at iteration {it}")
         omega = np.where(delta > last, np.maximum(0.5 * omega, 0.1),
                          np.where((omega < 1.0) & (delta < 0.5 * last),
                                   np.minimum(2.0 * omega, 1.0), omega))
         last = delta
-        for b, d in zip(member, delta):
-            history[b].append(float(d))
+        for b in np.flatnonzero(moving):
+            history[b].append(float(delta[b]))
+        # A held member keeps its iterate exactly: np.where, not a zero
+        # weight, as 0 * NaN of a held member's update would be NaN.
         w = omega[:, None]
-        C = (1.0 - w[:, :, None, None]) * C + w[:, :, None, None] * C_new
-        C_R = (1.0 - w) * C_R + w * C_R_new
+        C = np.where(moving[:, None, None, None],
+                     (1.0 - w[:, :, None, None]) * C + w[:, :, None, None] * C_new, C)
+        C_R = np.where(moving[:, None], (1.0 - w) * C_R + w * C_R_new, C_R)
         fr = model.Frame(pts, C_R[:, None] @ setup.D0t,
                          setup.field_values(C).swapaxes(0, 1))
-        v_field, v_inner, dv_inner, _ = model.velocity_solve(fr, setup)
-        moving = delta >= tol
-        if not np.all(moving):
-            (fr, member, C, C_R, v_field, v_inner, dv_inner, last, omega,
-             phi) = freeze(moving, True, it)
-            if not member.size:
-                break
-    freeze(np.zeros(len(member), dtype=bool), False, max_iter)
-    return states
+        v_field, v_inner, _, _ = model.velocity_solve(fr, setup)
+        passes[moving & (delta < tol)] = it
+        if passes.all():
+            break
+    return [StateSolution(C=C[b], C_R=C_R[b], v_field=v_field[b], v_inner=v_inner[b],
+                          residual_history=history[b], converged=bool(passes[b]),
+                          iterations=int(passes[b]) or max_iter, setup=setup)
+            for b in range(B)]
 
 
 def objective(control: ControlVector, setup: CollocationSetup,

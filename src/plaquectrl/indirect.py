@@ -25,6 +25,7 @@ RESIDUAL_SENTINEL = 1e6
 SHOOT_TOL = 1e-8  # defaults of solve_indirect and its sweeps, shared with the CLI
 SHOOT_MAX_ITER = 50
 RK4_STEPS = 400
+RK4_MIN_STEPS = 2  # fewest RK4 steps a sweep accepts, shared with the CLI
 JAC_STEP = 1e-6  # forward-difference step of the Newton Jacobian columns
 MAX_DAMPING = 20  # step halvings tried before a Newton step is given up
 
@@ -188,8 +189,10 @@ def _integrate_with_control(y0, setup, params, n_steps):
     The control is refreshed from the sign of the switching function at the
     start of each step and held constant across the RK4 stages.  Returns
     (terminal y, time_grid, trajectory, phi samples, tie mask, switching
-    times).
+    times).  Raises ``ValueError`` below ``RK4_MIN_STEPS`` steps.
     """
+    if n_steps < RK4_MIN_STEPS:
+        raise ValueError(f"n_steps must be >= {RK4_MIN_STEPS}, got {n_steps}")
     grid = np.linspace(-1.0, 1.0, n_steps + 1)
     h = 2.0 / n_steps
     y = np.asarray(y0, dtype=float).copy()

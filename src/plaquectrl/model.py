@@ -29,7 +29,6 @@ the :class:`~plaquectrl.spectral.CollocationSetup`, one product each.
 
 from __future__ import annotations
 
-import copy
 from functools import cached_property
 
 import numpy as np
@@ -110,7 +109,7 @@ class Frame:
     saturation denominators.  :meth:`add_adjoint` adds their exp(-s)
     counterparts.  X has one axis more than the points' rho.  A batch frame
     has R of shape (B, 1, M) and X of shape (3, B, N, M): every array
-    derived from them carries the batch axis third from last (:meth:`take`).
+    derived from them carries the batch axis third from last.
     """
 
     def __init__(self, pts: Points, R, X):
@@ -147,14 +146,6 @@ class Frame:
         self.Xm = self.ems * self.X + self.pts.X0
         self.sz = self.om * (v + p.D * p.beta) * self.pts.wo / 8.0
         self.emsz = np.exp(-self.sz)
-
-    def take(self, keep):
-        """The frame of the batch members selected by ``keep``."""
-        out = copy.copy(self)
-        for name, value in vars(self).items():
-            if np.ndim(value) >= 3:
-                setattr(out, name, value[..., keep, :, :])
-        return out
 
 
 def coeff(fr: Frame, v_inner, v_local):

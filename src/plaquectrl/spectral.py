@@ -128,19 +128,9 @@ class CollocationSetup:
     D0t_inv: np.ndarray
     D1tT_inv: np.ndarray
     K: np.ndarray
-    # First-order solves (velocity, P_v) in Legendre degrees 0..N:
-    # V0r[k, m] = P_m(rho_k), V1r[k, m] = P_m'(rho_k), P_m and P_m' at
-    # rho = -1; pin_p1 (pin_m1) maps nodal values of a derivative to the
-    # Legendre coefficients of the function that vanishes at rho = +1 (-1).
-    V0r: np.ndarray
-    V1r: np.ndarray
-    V_at_m1: np.ndarray
-    V1_at_m1: np.ndarray
-    pin_p1: np.ndarray
-    pin_m1: np.ndarray
     # Fused maps, one product each: D012r = [D0r | D1r | D2r] gives nodal values,
-    # slopes and curvatures; V_map = [V0r; V_at_m1; V1_at_m1; V1r] pin_p1 gives v
-    # and dv/drho at the nodes and at rho = -1 from nodal dv/drho; Pv_map = V0r pin_m1.
+    # slopes and curvatures; from nodal dv/drho, V_map gives v and dv/drho at the
+    # nodes and at rho = -1 (v(1) = 0), and Pv_map gives P_v at the nodes (P_v(-1) = 0).
     D012r: np.ndarray
     V_map: np.ndarray
     Pv_map: np.ndarray
@@ -191,19 +181,19 @@ def build_setup(N: int, M: int) -> CollocationSetup:
     D0r, D0t, D1t = space.eval(rho, 0), time.eval(t, 0), time.eval(t, 1)
     D0t_inv = np.linalg.inv(D0t)
     legendre = PolynomialBasis(np.eye(N + 1))
+    # First-order solves in Legendre degrees 0..N: V0r[k, m] = P_m(rho_k),
+    # V1r[k, m] = P_m'(rho_k); pin_p1 (pin_m1) maps nodal values of a derivative
+    # to the coefficients of the function that vanishes at rho = +1 (-1).
     V1r = legendre.eval(rho, 1).T
     V_at_m1 = legendre.eval(-1.0)
-    # collocate the derivative at the N nodes and pin the value at one end
     pin_p1 = np.linalg.inv(np.vstack([V1r, np.ones(N + 1)]))[:, :N]
     pin_m1 = np.linalg.inv(np.vstack([V1r, V_at_m1]))[:, :N]
     D1r, D2r, V0r = space.eval(rho, 1), space.eval(rho, 2), legendre.eval(rho).T
-    V1_at_m1 = legendre.eval(-1.0, 1)
     return CollocationSetup(
         N=N, M=M, space_basis=space, time_basis=time, rho=rho, t=t,
         D0r=D0r, D1r=D1r, D2r=D2r, D0t=D0t, D1t=D1t,
         space_at_m1=space.eval(-1.0), time_at_p1=time.eval(1.0),
         D0rT_inv=np.linalg.inv(D0r.T), D0t_inv=D0t_inv,
         D1tT_inv=np.linalg.inv(D1t.T), K=D0t_inv @ D1t,
-        V0r=V0r, V1r=V1r, V_at_m1=V_at_m1, V1_at_m1=V1_at_m1, pin_p1=pin_p1,
-        pin_m1=pin_m1, D012r=np.hstack([D0r, D1r, D2r]), Pv_map=V0r @ pin_m1,
-        V_map=np.vstack([V0r, V_at_m1, V1_at_m1, V1r]) @ pin_p1)
+        D012r=np.hstack([D0r, D1r, D2r]), Pv_map=V0r @ pin_m1,
+        V_map=np.vstack([V0r, V_at_m1, legendre.eval(-1.0, 1), V1r]) @ pin_p1)

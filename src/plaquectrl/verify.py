@@ -66,6 +66,8 @@ def convergence_study(params: ModelParameters, grid_list,
     row is.
     """
     Ne, Me = reference_grid
+    if not grid_list:
+        raise ValueError("grid_list must name at least one grid")
     if any(N >= Ne or M >= Me for (N, M) in grid_list):
         raise ValueError("reference grid must be strictly finer than every entry")
     ref_setup = build_setup(Ne, Me)

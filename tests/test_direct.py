@@ -217,6 +217,14 @@ class TestFixedPoint:
             direct.fixed_point_batch(np.zeros((2, 4)), build_setup(4, 4), P,
                                      tol=np.inf)
 
+    @pytest.mark.parametrize("phi", [np.full((1, 4), np.nan), np.zeros((1, 3)),
+                                     np.zeros(4), np.zeros((0, 4))],
+                             ids=["nan", "wrong-M", "1-D", "empty"])
+    def test_bad_nodal_controls_rejected(self, phi):
+        # a NaN control once surfaced as a singular L collocation operator
+        with pytest.raises(ValueError, match="phi must be a finite"):
+            direct.fixed_point_batch(phi, build_setup(4, 4), P)
+
     def test_nan_tolerance_rejected(self):
         # a NaN tol once stopped every member after one pass as converged
         with pytest.raises(ValueError):
@@ -299,7 +307,7 @@ def _assert_same_state(got, ref, params):
     assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
     assert got.residual_history == ref.residual_history
     for a, b in ((got.C, ref.C), (got.C_R, ref.C_R), (got.v_field, ref.v_field),
-                 (got.v_inner, ref.v_inner), (got.dv_inner, ref.dv_inner)):
+                 (got.v_inner, ref.v_inner)):
         assert np.array_equal(a, b)
     assert _objective(got, params) == _objective(ref, params)
 
@@ -338,6 +346,21 @@ class TestBatch:
         assert zero.converged and zero.iterations < 55
         assert not full.converged and full.iterations == 55
         assert len(full.residual_history) == 55
+
+    @pytest.mark.parametrize("tol, max_iter, early, late", [
+        (1e-10, direct.FP_MAX_ITER, 65, 87), (direct.FP_TOL, 55, 49, 55)],
+        ids=["tol=1e-10", "capped"])
+    def test_early_member_between_later_ones(self, tol, max_iter, early, late):
+        # the zero control converges first; held in the middle of the batch,
+        # it must neither shift its neighbours' rows nor take further passes
+        K = P.Kbound
+        full, zero, ramp = _check_batch(
+            [np.full(4, K), np.zeros(4), np.linspace(0.0, K, 4)],
+            build_setup(4, 4), P, tol=tol, max_iter=max_iter)
+        assert zero.converged and zero.iterations == early
+        for st in (full, ramp):
+            assert st.iterations == late
+            assert st.converged == (late < max_iter)
 
     def test_matrix_free_batch(self):
         s = build_setup(16, 16)

@@ -189,6 +189,17 @@ class TestSolveIndirect:
         with pytest.raises(ValueError):
             indirect.solve_indirect(build_setup(4, 4), P, n_steps=100, **bad)
 
+    @pytest.mark.parametrize("n_steps", [-1, 0, 1])
+    def test_too_few_rk4_steps_rejected(self, n_steps):
+        # 0 once divided by zero, -1 indexed an empty grid, 1 passed where
+        # the CLI requires 2
+        s = build_setup(4, 4)
+        with pytest.raises(ValueError, match="n_steps must be >= 2"):
+            indirect.shooting_residual(indirect.ShootingVector(np.zeros(13)), s, P,
+                                       n_steps=n_steps)
+        with pytest.raises(ValueError, match="n_steps must be >= 2"):
+            indirect.solve_indirect(s, P, n_steps=n_steps)
+
     def test_returned_vector_is_integrated_once(self, monkeypatch):
         sweeps = []
         integrate = indirect._integrate_with_control

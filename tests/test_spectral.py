@@ -204,14 +204,16 @@ class TestSetup:
         V1 = np.column_stack([jacobi_eval(m, 0.0, 0.0, s.rho, 1) for m in degs])
         at_m1 = np.array([jacobi_eval(m, 0.0, 0.0, -1.0, 0) for m in degs])
         d_at_m1 = np.array([jacobi_eval(m, 0.0, 0.0, -1.0, 1) for m in degs])
-        for got, ref in ((s.V0r, V0), (s.V1r, V1), (s.V_at_m1, at_m1),
-                         (s.V1_at_m1, d_at_m1)):
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
         # derivative collocated at the nodes, value pinned at rho = +1 or -1
         unit = np.vstack([np.eye(n), np.zeros(n)])
-        for pin, row in ((s.pin_p1, np.ones(n + 1)), (s.pin_m1, at_m1)):
-            assert np.allclose(np.vstack([V1, row]) @ pin, unit, rtol=0, atol=1e-12)
+        pin_p1 = np.linalg.solve(np.vstack([V1, np.ones(n + 1)]), unit)
+        pin_m1 = np.linalg.solve(np.vstack([V1, at_m1]), unit)
+        for got, ref in ((s.V_map, np.vstack([V0, at_m1, d_at_m1, V1]) @ pin_p1),
+                         (s.Pv_map, V0 @ pin_m1)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+        # the rows of dv/drho at the nodes give back the nodal derivative
+        assert np.allclose(s.V_map[n + 2:], np.eye(n), rtol=0, atol=1e-12)
 
     def test_time_series_at_plus_one(self):
         s = build_setup(3, 4)

@@ -55,6 +55,11 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             verify.convergence_study(P, [(8, 8)], reference_grid=(8, 8))
 
+    def test_empty_grid_list_rejected(self):
+        # an empty study once returned [] and crashed later in study_table
+        with pytest.raises(ValueError, match="at least one grid"):
+            verify.convergence_study(P, [])
+
     def test_csv_and_table_shapes(self):
         rows = verify.convergence_study(P.decoupled(), [(2, 2)],
                                         reference_grid=(4, 4))
