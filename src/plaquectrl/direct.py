@@ -25,17 +25,18 @@ applied to the identity, which the setup builds once on first use
 :func:`fixed_point_batch` allocates once per call (per-pass temporaries
 would be mapped and faulted in afresh by the C allocator), and solved by one
 batched dense LU.  A larger system is never formed: GMRES applies the map,
-member by member, preconditioned by a Sylvester equation solved by
-Bartels-Stewart (:func:`_solve_matrix_free`), the only user of
-``scipy.linalg``, which it imports (about 0.27 s): small grids load numpy
-only.  Whole fixed-point solves (default parameters, zero control, 2-vCPU
-VM, OpenBLAS threads at their default; dense without scipy loaded, GMRES
-after its import) take, dense against GMRES: 0.019 s against 0.088 s at
-9 x 9 (81 unknowns), 0.025 s against 0.078 s at 11 x 9 (99), 0.022 s
-against 0.088 s at 10 x 10 (100), 0.11 s against 0.11 s at 16 x 16 and
-3.1 s against 0.31 s at 32 x 32.  Dense wins up to about 16 x 16; moving
-the cut-off would change the rounding of every grid in between.  Both paths
-take the same fixed-point iterations and agree on J to 1e-15.
+member by member, from the previous iterate, preconditioned by a Sylvester
+equation solved by Bartels-Stewart (:func:`_solve_matrix_free`).  Only this
+path imports ``scipy.linalg`` (about 0.27 s): small grids load numpy only.
+Whole fixed-point solves (default parameters, zero control, 2-vCPU VM,
+OpenBLAS threads at their default; dense without scipy loaded, GMRES after
+its import; fastest of many) take, dense against GMRES: 0.015 s against
+0.065 s at 9 x 9 (81 unknowns), 0.016 s against 0.063 s at 11 x 9 (99),
+0.017 s against 0.064 s at 10 x 10 (100), 0.080 s against 0.085 s at
+16 x 16 and 2.1 s against 0.20 s at 32 x 32.  Dense wins up to about
+16 x 16; moving the cut-off would change the rounding of every grid in
+between.  Both paths take the same fixed-point iterations and agree on J
+to 1e-15.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ FP_MAX_ITER = 400
 # Largest N*M solved by dense LU; the module docstring gives the measurements.
 DENSE_MAX_UNKNOWNS = 99
 # GMRES stops at ||b - A x|| <= GMRES_RTOL ||b||, restarts every
-# GMRES_RESTART iterations and raises after GMRES_MAX_ITER.  The hardest
-# system measured (mu1 = 0.06, 64 x 64, third fixed-point pass) needs 195.
+# GMRES_RESTART iterations and raises after GMRES_MAX_ITER.  The hardest system
+# measured (mu1 = 0.06, mu2 = 0.015, 64 x 64, third fixed-point pass) needs about 190.
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 200
 GMRES_MAX_ITER = 600
@@ -189,41 +190,53 @@ def assemble_operator(g1, G2, setup: CollocationSetup,
     return A
 
 
-def _solve_fields(g1, G2, setup, params, sources, name, work):
-    """Coefficient matrices (k, B, N, M) for sources (k, B, N, M), fields first.
+def _solve_fields(S, LH, F, setup, params, work, x0):
+    """Coefficient matrices (3, B, N, M) of L, H, F for sources S (3, B, N, M).
 
-    g1 (B, 1, M) and G2 (B, N, M) carry the member axis B; ``name`` names
-    the system in errors.  Given buffers ``work`` (2, B, n, n), which
-    :func:`fixed_point_batch` allocates only up to ``DENSE_MAX_UNKNOWNS``
-    unknowns, the B operators are assembled into them and solved by one
-    batched dense LU; without, each member's sources are solved matrix-free.
+    L and H share the operator of the (diffusion g1 (B, 1, M), drift
+    G2 (B, N, M)) pair ``LH``, F has that of ``F``.  Given buffers ``work``
+    (2, B, n, n), which :func:`fixed_point_batch` allocates only up to
+    ``DENSE_MAX_UNKNOWNS`` unknowns, each operator's B members are assembled
+    into them and solved by one batched dense LU.  Without, each member is
+    solved matrix-free from the guesses ``x0`` (3, B, N, M); F's diffusion
+    is D times L/H's (:func:`model.coeff`), so F's time-side Schur factor
+    is L/H's over D.
     """
+    systems = (("L", LH, slice(0, 2)), ("F", F, slice(2, 3)))
+    X = np.empty_like(S)
     if work is None:
-        return np.stack([_solve_matrix_free(g1[b], G2[b], setup, params,
-                                            sources[:, b], name)
-                         for b in range(len(G2))], axis=1)
-    A = assemble_operator(g1, G2, setup, params, out=work)
-    k, B = sources.shape[:2]
-    try:
-        sol = np.linalg.solve(A, sources.reshape(k, B, -1).transpose(1, 2, 0))
-    except np.linalg.LinAlgError:
-        raise SingularOperatorError(name, float(np.max(np.linalg.cond(A)))) from None
-    if not np.all(np.isfinite(sol)):
-        raise SingularOperatorError(name, float(np.max(np.linalg.cond(A))))
-    return sol.transpose(2, 0, 1).reshape(sources.shape)
+        from scipy.linalg import schur
+
+        for b in range(S.shape[1]):
+            Tb, V = schur(setup.K * (1.0 / np.ravel(LH[0][b])))
+            for (name, (g1, G2), k), scale in zip(systems, (1.0, params.D)):
+                X[k, b] = _solve_matrix_free(g1[b], G2[b], setup, params, S[k, b],
+                                             name, x0[k, b], (Tb / scale, V))
+        return X
+    for name, (g1, G2), k in systems:
+        A = assemble_operator(g1, G2, setup, params, out=work)
+        try:
+            sol = np.linalg.solve(A, S[k].reshape(*S[k].shape[:2], -1).transpose(1, 2, 0))
+        except np.linalg.LinAlgError:
+            raise SingularOperatorError(name, float(np.max(np.linalg.cond(A)))) from None
+        if not np.all(np.isfinite(sol)):
+            raise SingularOperatorError(name, float(np.max(np.linalg.cond(A))))
+        X[k] = sol.transpose(2, 0, 1).reshape(S[k].shape)
+    return X
 
 
-def _solve_matrix_free(g1, G2, setup, params, sources, name):
-    """:func:`_solve_fields` by preconditioned GMRES, never forming the operator.
+def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, time=None):
+    """One member's :func:`_solve_fields` system by GMRES, never forming the operator.
 
     GMRES applies :func:`_apply_operator`.  In W = C D0t, with
     K = D0t^-1 D1t, scaling its time columns by d = 1/g1 and replacing
     G2 diag(d) by its time mean a(rho) leaves the Sylvester equation
     P W + W B = (c D0r')^-1 R diag(d), P = (c D0r')^-1 (diag(a) D1r' - D2r'),
-    B = K diag(d).  Bartels-Stewart on real Schur factors of P and B,
-    computed once per operator, solves it (LAPACK dtrsyl); that solve is the
-    preconditioner.  D0r'^-1, D0t^-1 and K come from the setup.  ``sources``
-    is (k, N, M) and so is the result.
+    B = K diag(d).  Bartels-Stewart on real Schur factors of P and of B
+    (computed unless given as ``time``) solves it (LAPACK dtrsyl); that
+    solve is the preconditioner.  D0r'^-1, D0t^-1 and K come from the setup.
+    ``sources`` is (k, N, M), and so are the result and the starting
+    guesses ``x0`` (zero if not given).
     """
     from scipy.linalg import lapack, schur
 
@@ -232,7 +245,7 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name):
     d = 1.0 / np.ravel(g1)
     a = np.mean(G2 * d, axis=1)
     S, U = schur(setup.D0rT_inv @ (a[:, None] * setup.D1r.T - setup.D2r.T) / c)
-    Tb, V = schur(setup.K * d)
+    Tb, V = schur(setup.K * d) if time is None else time
     to_schur, from_schur = U.T @ setup.D0rT_inv / c, d[:, None] * V
     to_coeffs = V.T @ setup.D0t_inv
 
@@ -243,25 +256,28 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name):
     def apply(x):
         return _apply_operator(g1, G2, setup, params, x.reshape(N, M)).ravel()
 
-    return np.stack([_gmres(apply, precondition, b.ravel(), name).reshape(N, M)
-                     for b in sources])
+    x0 = np.zeros_like(sources) if x0 is None else x0
+    return np.stack([_gmres(apply, precondition, b.ravel(), name, x.ravel()).reshape(N, M)
+                     for b, x in zip(sources, x0)])
 
 
-def _gmres(apply, precondition, b, name):
+def _gmres(apply, precondition, b, name, x0):
     """x with ||b - A x|| <= GMRES_RTOL ||b|| by restarted, right-preconditioned GMRES.
 
     ``apply`` is x -> A x and ``precondition`` r -> M^-1 r (Saad & Schultz,
-    SIAM J. Sci. Stat. Comput. 7, 1986).  The Krylov basis of A M^-1 is
-    orthogonalized by classical Gram-Schmidt applied twice; each cycle
-    updates x itself and recomputes the true residual b - A x, so rounding
-    in M^-1 does not set the attainable residual.  Raises
-    :class:`NonConvergenceError` after ``GMRES_MAX_ITER`` iterations or on a
-    non-finite residual.
+    SIAM J. Sci. Stat. Comput. 7, 1986), started from ``x0`` if
+    ||b - A x0|| < ||b|| and from zero otherwise (so b = 0 gives x = 0).
+    The Krylov basis of A M^-1 is orthogonalized by classical Gram-Schmidt
+    applied twice; each cycle updates x itself and recomputes the true
+    residual b - A x, so rounding in M^-1 does not set the attainable
+    residual.  Raises :class:`NonConvergenceError` after ``GMRES_MAX_ITER``
+    iterations or on a non-finite residual.
     """
     from scipy.linalg import solve_triangular
 
-    x = np.zeros_like(b)
-    r = b
+    x, r = x0, b - apply(x0)
+    if not np.linalg.norm(r) < np.linalg.norm(b):
+        x, r = np.zeros_like(b), b
     target = GMRES_RTOL * np.linalg.norm(b)
     done = 0
     while not (beta := np.linalg.norm(r)) <= target:
@@ -270,7 +286,7 @@ def _gmres(apply, precondition, b, name):
                 f"GMRES on the {name} collocation system stopped at relative "
                 f"residual {beta / np.linalg.norm(b):.3e} after {done} iterations")
         m = min(GMRES_RESTART, GMRES_MAX_ITER - done)
-        V = np.zeros((m + 1, b.size))
+        V = np.empty((m + 1, b.size))  # each row written before it is read
         H = np.zeros((m + 1, m))
         rot = np.zeros((m, 2))  # Givens (cos, sin) reducing H to triangular
         g = np.zeros(m + 1)
@@ -356,9 +372,8 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
 
     for it in range(1, max_iter + 1):
         S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])
-        C_new = np.concatenate([_solve_fields(*LH, setup, params, S[:2], "L", work),
-                                _solve_fields(*F, setup, params, S[2:], "F", work)]
-                               ).swapaxes(0, 1)
+        C_new = _solve_fields(S, LH, F, setup, params, work, C.swapaxes(0, 1))
+        C_new = C_new.swapaxes(0, 1)
         # One row product per member, never one product over the batch, so
         # that no member's rounding depends on the batch it is in.
         C_R_new = (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]

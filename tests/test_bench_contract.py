@@ -5,8 +5,9 @@ layer by traced wrappers.  A function it names that was deleted or renamed
 fails here instead of crashing a traced benchmark run.  One operation of
 each workload (shoot-8x8, sweep-8x8, and fixedpoint-32x32, which runs the
 matrix-free GMRES path) also runs through the benchmark's own call and
-check, so a change that moves the pinned references fails here too.  Nothing
-under ``perfbench/`` is written.
+check, so a change that moves the pinned references fails here too; every
+fixedpoint-32x32 pool control does, untraced, as GMRES rounding moves with
+its starting guesses.  Nothing under ``perfbench/`` is written.
 """
 
 import importlib.util
@@ -64,3 +65,11 @@ def test_one_operation_passes_its_check_under_the_tracer(monkeypatch, workload, 
     if workload == "sweep-8x8":  # the batched probe path keeps its traced names
         for name in ("direct.assemble_operator", "nlp.fd_gradient"):
             assert totals.get(name, {"calls": 0})["calls"] > 0, name
+
+
+def test_every_fixedpoint_pool_control_passes_its_check(monkeypatch):
+    wl = _load(monkeypatch, "workloads").WORKLOADS["fixedpoint-32x32"](ModelParameters())
+    setup = build_setup(*wl.grid)
+    errors = [wl.check(k, wl.call(setup, k)) for k in range(len(wl.controls))]
+    assert len(errors) == 24
+    assert [e for e in errors if e is not None] == []

@@ -454,6 +454,108 @@ class TestMatrixFree:
             direct._solve_matrix_free(*LH, s, P, sources, "L")
 
 
+class _Counted:
+    """A function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def _gmres_system(setup, params, steps):
+    """(apply, precondition, b) of GMRES's L solve in the pass after ``steps`` passes."""
+    S, LH, _ = _grids_after(_zero_control(setup.M), setup, params, steps)
+    systems, gmres = [], direct._gmres
+
+    def capture(apply, precondition, b, name, x0):
+        systems.append((apply, precondition, b))
+        return gmres(apply, precondition, b, name, x0)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(direct, "_gmres", capture)
+        direct._solve_matrix_free(*LH, setup, params, S[:1], "L")
+    return systems[0]
+
+
+def _run_gmres(system, x0, b=None):
+    """GMRES on ``system`` from ``x0``: x, operator applies, preconditioner applies."""
+    apply, precondition, rhs = system
+    apply, precondition = _Counted(apply), _Counted(precondition)
+    x = direct._gmres(apply, precondition, rhs if b is None else b, "L", x0)
+    return x, apply.calls, precondition.calls
+
+
+def _true_residual(system, x):
+    apply, _, b = system
+    return np.linalg.norm(b - apply(x))
+
+
+class TestWarmStart:
+    @pytest.fixture(scope="class")
+    def system(self):
+        return _gmres_system(build_setup(16, 16), P, 2)
+
+    @pytest.fixture(scope="class")
+    def cold(self, system):
+        return _run_gmres(system, np.zeros_like(system[2]))
+
+    def test_zero_guess_is_the_cold_solve(self, system, cold):
+        # A x0 = 0 exactly, so GMRES starts from r = b as without a guess,
+        # and a rejected guess then gives the same iterates bit for bit.
+        apply, _, b = system
+        assert not apply(np.zeros_like(b)).any()
+        x, applies, preconditions = cold
+        assert applies == preconditions + 1  # the guess's apply, then one per step
+        rejected = _run_gmres(system, -x)  # residual 2 ||b||
+        assert np.array_equal(rejected[0], x)
+        assert rejected[1:] == (applies, preconditions)
+
+    def test_warm_guess_meets_the_tolerance_in_fewer_steps(self, system, cold):
+        x, applies, _ = _run_gmres(system, (1.0 + 1e-6) * cold[0])
+        assert _true_residual(system, x) <= direct.GMRES_RTOL * np.linalg.norm(system[2])
+        assert applies < cold[1]
+
+    def test_guess_within_target_returned_after_one_apply(self, system, cold):
+        x0 = cold[0]
+        assert _true_residual(system, x0) <= direct.GMRES_RTOL * np.linalg.norm(system[2])
+        x, applies, preconditions = _run_gmres(system, x0)
+        assert np.array_equal(x, x0)
+        assert (applies, preconditions) == (1, 0)
+
+    def test_zero_right_hand_side_gives_zero_whatever_the_guess(self, system, cold):
+        b = np.zeros_like(system[2])
+        x, _, preconditions = _run_gmres(system, cold[0], b)
+        assert not x.any() and preconditions == 0
+        s = build_setup(16, 16)
+        _, LH, _ = _grids_after(_zero_control(16), s, P, 2)
+        x0 = np.stack([cold[0].reshape(16, 16)] * 2)
+        assert not direct._solve_matrix_free(*LH, s, P, np.zeros((2, 16, 16)), "L", x0).any()
+
+    def test_warm_start_saves_matvecs(self, monkeypatch):
+        # The previous iterate as the guess: the same passes and J as cold
+        # solves, with at least a tenth fewer operator applies (917 against
+        # 1,112 with this cold wrapper, 2-vCPU VM, OpenBLAS).
+        s, gmres, operator = build_setup(32, 32), direct._gmres, direct._apply_operator
+
+        def cold(apply, precondition, b, name, x0):
+            return gmres(apply, precondition, b, name, np.zeros_like(b))
+
+        runs = []
+        for solver in (gmres, cold):
+            monkeypatch.setattr(direct, "_gmres", solver)
+            monkeypatch.setattr(direct, "_apply_operator",
+                                counted := _Counted(operator))
+            st = direct.fixed_point_solve(_zero_control(32), s, P)
+            runs.append((st.iterations, _objective(st, P), counted.calls))
+        (warm_passes, warm_J, warm_calls), (cold_passes, cold_J, cold_calls) = runs
+        assert warm_passes == cold_passes == 25
+        assert abs(warm_J - cold_J) <= 1e-13
+        assert warm_calls <= 0.9 * cold_calls
+
+
 class TestIterationCap:
     def test_one_default_everywhere(self):
         def default(fn, name):
