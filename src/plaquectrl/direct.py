@@ -26,17 +26,16 @@ applied to the identity, which the setup builds once on first use
 would be mapped and faulted in afresh by the C allocator), and solved by one
 batched dense LU.  A larger system is never formed: GMRES applies the map,
 member by member, from the previous iterate, preconditioned by a Sylvester
-equation solved by Bartels-Stewart (:func:`_solve_matrix_free`).  Only this
-path imports ``scipy.linalg`` (about 0.27 s): small grids load numpy only.
-Whole fixed-point solves (default parameters, zero control, 2-vCPU VM,
-OpenBLAS threads at their default; dense without scipy loaded, GMRES after
-its import; fastest of many) take, dense against GMRES: 0.015 s against
-0.065 s at 9 x 9 (81 unknowns), 0.016 s against 0.063 s at 11 x 9 (99),
-0.017 s against 0.064 s at 10 x 10 (100), 0.080 s against 0.085 s at
-16 x 16 and 2.1 s against 0.20 s at 32 x 32.  Dense wins up to about
-16 x 16; moving the cut-off would change the rounding of every grid in
-between.  Both paths take the same fixed-point iterations and agree on J
-to 1e-15.
+equation solved by diagonalizing its space side, with each member's
+preconditioners reused from pass to pass (:func:`_solve_matrix_free`).
+Both paths run on numpy alone.  Whole fixed-point solves (default
+parameters, zero control, 2-vCPU VM, OpenBLAS threads at their default;
+fastest of many) take, dense against GMRES: 0.011 s against 0.040 s at
+9 x 9 (81 unknowns), 0.013 s against 0.043 s at 11 x 9 (99), 0.017 s
+against 0.041 s at 10 x 10 (100), 0.077 s against 0.055 s at 16 x 16 and
+1.8 s against 0.11 s at 32 x 32.  Dense wins up to about 14 x 14; moving
+the cut-off would change the rounding of every grid in between.  Both
+paths take the same fixed-point iterations and agree on J to 1e-15.
 """
 
 from __future__ import annotations
@@ -194,24 +193,21 @@ def _solve_fields(S, LH, F, setup, params, work, x0):
     """Coefficient matrices (3, B, N, M) of L, H, F for sources S (3, B, N, M).
 
     L and H share the operator of the (diffusion g1 (B, 1, M), drift
-    G2 (B, N, M)) pair ``LH``, F has that of ``F``.  Given buffers ``work``
-    (2, B, n, n), which :func:`fixed_point_batch` allocates only up to
+    G2 (B, N, M)) pair ``LH``, F has that of ``F``.  If ``work`` is an array
+    of buffers (2, B, n, n), which :func:`fixed_point_batch` allocates up to
     ``DENSE_MAX_UNKNOWNS`` unknowns, each operator's B members are assembled
-    into them and solved by one batched dense LU.  Without, each member is
-    solved matrix-free from the guesses ``x0`` (3, B, N, M); F's diffusion
-    is D times L/H's (:func:`model.coeff`), so F's time-side Schur factor
-    is L/H's over D.
+    into them and solved by one batched dense LU.  Above, ``work`` holds one
+    dict per member, and each member is solved matrix-free from the guesses
+    ``x0`` (3, B, N, M), reusing the preconditioners that its dict carries
+    over from the previous pass.
     """
     systems = (("L", LH, slice(0, 2)), ("F", F, slice(2, 3)))
     X = np.empty_like(S)
-    if work is None:
-        from scipy.linalg import schur
-
-        for b in range(S.shape[1]):
-            Tb, V = schur(setup.K * (1.0 / np.ravel(LH[0][b])))
-            for (name, (g1, G2), k), scale in zip(systems, (1.0, params.D)):
-                X[k, b] = _solve_matrix_free(g1[b], G2[b], setup, params, S[k, b],
-                                             name, x0[k, b], (Tb / scale, V))
+    if isinstance(work, list):
+        for b, reuse in enumerate(work):
+            for name, (g1, G2), k in systems:
+                X[k, b] = _solve_matrix_free(g1[b], G2[b], setup, params, S[k, b], name,
+                                             x0[k, b], reuse.setdefault(name, {}))
         return X
     for name, (g1, G2), k in systems:
         A = assemble_operator(g1, G2, setup, params, out=work)
@@ -225,43 +221,82 @@ def _solve_fields(S, LH, F, setup, params, work, x0):
     return X
 
 
-def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, time=None):
+def _preconditioner(g1, G2, setup, params):
+    """r -> M^-1 r for the operator with diffusion g1 and drift G2, by the
+    fast diagonalization of its space side (:func:`_solve_matrix_free`)."""
+    N, M = setup.N, setup.M
+    c = 2.0 / params.T
+    g1 = np.ravel(g1)
+    a = np.mean(G2 / g1, axis=1)
+    lam, X = np.linalg.eig(setup.D0rT_inv @ (a[:, None] * setup.D1r.T - setup.D2r.T) / c)
+    keep = lam.imag >= 0
+    left = np.linalg.inv(X)[keep] @ setup.D0rT_inv / c
+    G = np.linalg.inv(setup.D1t + lam[keep, None, None] * (setup.D0t * g1))
+    back = X[:, keep] * np.where(lam[keep].imag > 0, 2.0, 1.0)
+
+    def precondition(r):
+        return (back @ ((left @ r.reshape(N, M))[:, None, :] @ G)[:, 0]).real.ravel()
+
+    return precondition
+
+
+def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, reuse=None):
     """One member's :func:`_solve_fields` system by GMRES, never forming the operator.
 
     GMRES applies :func:`_apply_operator`.  In W = C D0t, with
     K = D0t^-1 D1t, scaling its time columns by d = 1/g1 and replacing
     G2 diag(d) by its time mean a(rho) leaves the Sylvester equation
-    P W + W B = (c D0r')^-1 R diag(d), P = (c D0r')^-1 (diag(a) D1r' - D2r'),
-    B = K diag(d).  Bartels-Stewart on real Schur factors of P and of B
-    (computed unless given as ``time``) solves it (LAPACK dtrsyl); that
-    solve is the preconditioner.  D0r'^-1, D0t^-1 and K come from the setup.
+    P W + W K diag(d) = (c D0r')^-1 R diag(d),
+    P = (c D0r')^-1 (diag(a) D1r' - D2r'); its solution is the
+    preconditioner (:func:`_preconditioner`).  Only the space side is
+    diagonalized (Lynch, Rice & Thomas, Numer. Math. 6, 1964),
+    P = X diag(lambda) X^-1: the time side K diag(d) has eigenvectors far
+    too ill-conditioned (cond 4e16 at M = 32).  Space mode i then needs one
+    M x M time block G_i = (D1t + lambda_i D0t diag(g1))^-1, and row i of
+    X^-1 (c D0r')^-1 R times G_i is row i of X^-1 C.  P is real, so a
+    complex pair of modes gives complex-conjugate rows: only the modes with
+    Im lambda >= 0 are kept, the columns of X for the pairs are doubled,
+    and the real part is C (as measured, L/H's P has a real spectrum and
+    F's has complex pairs).
+    cond(X) stays below 430 up to 64 x 64 at both measured parameter sets.
+    D0r'^-1 comes from the setup.
+
     ``sources`` is (k, N, M), and so are the result and the starting
-    guesses ``x0`` (zero if not given).
+    guesses ``x0`` (zero if not given).  A dict ``reuse``, kept by the
+    caller from one fixed-point pass to the next, carries the preconditioner
+    and the largest GMRES iteration count of its solves.  The preconditioner
+    is rebuilt for the next pass when a solve took more iterations than in
+    the previous pass.  A run on a reused preconditioner is abandoned past
+    twice the previous count, and solved again from the same guess on a
+    fresh one.
     """
-    from scipy.linalg import lapack, schur
-
     N, M = setup.N, setup.M
-    c = 2.0 / params.T
-    d = 1.0 / np.ravel(g1)
-    a = np.mean(G2 * d, axis=1)
-    S, U = schur(setup.D0rT_inv @ (a[:, None] * setup.D1r.T - setup.D2r.T) / c)
-    Tb, V = schur(setup.K * d) if time is None else time
-    to_schur, from_schur = U.T @ setup.D0rT_inv / c, d[:, None] * V
-    to_coeffs = V.T @ setup.D0t_inv
-
-    def precondition(r):
-        Y, scale, _ = lapack.dtrsyl(S, Tb, to_schur @ r.reshape(N, M) @ from_schur)
-        return (U @ Y @ to_coeffs).ravel() / scale
+    reuse = {} if reuse is None else reuse
+    precondition, previous = reuse.get("precondition"), reuse.get("iterations", np.inf)
+    fresh = precondition is None
+    if fresh:
+        precondition = _preconditioner(g1, G2, setup, params)
 
     def apply(x):
         return _apply_operator(g1, G2, setup, params, x.reshape(N, M)).ravel()
 
     x0 = np.zeros_like(sources) if x0 is None else x0
-    return np.stack([_gmres(apply, precondition, b.ravel(), name, x.ravel()).reshape(N, M)
-                     for b, x in zip(sources, x0)])
+    X, count = np.empty_like(sources), 0
+    for k, (b, x) in enumerate(zip(sources, x0)):
+        try:
+            y, its = _gmres(apply, precondition, b.ravel(), name, x.ravel(),
+                            GMRES_MAX_ITER if fresh else min(2 * previous, GMRES_MAX_ITER))
+        except NonConvergenceError:
+            if fresh:
+                raise
+            precondition, fresh = _preconditioner(g1, G2, setup, params), True
+            y, its = _gmres(apply, precondition, b.ravel(), name, x.ravel(), GMRES_MAX_ITER)
+        X[k], count = y.reshape(N, M), max(count, its)
+    reuse.update(precondition=None if count > previous else precondition, iterations=count)
+    return X
 
 
-def _gmres(apply, precondition, b, name, x0):
+def _gmres(apply, precondition, b, name, x0, limit=None):
     """x with ||b - A x|| <= GMRES_RTOL ||b|| by restarted, right-preconditioned GMRES.
 
     ``apply`` is x -> A x and ``precondition`` r -> M^-1 r (Saad & Schultz,
@@ -270,22 +305,22 @@ def _gmres(apply, precondition, b, name, x0):
     The Krylov basis of A M^-1 is orthogonalized by classical Gram-Schmidt
     applied twice; each cycle updates x itself and recomputes the true
     residual b - A x, so rounding in M^-1 does not set the attainable
-    residual.  Raises :class:`NonConvergenceError` after ``GMRES_MAX_ITER``
-    iterations or on a non-finite residual.
+    residual.  Returns x and the iterations taken.  Raises
+    :class:`NonConvergenceError` after ``limit`` iterations
+    (``GMRES_MAX_ITER`` if not given) or on a non-finite residual.
     """
-    from scipy.linalg import solve_triangular
-
+    limit = GMRES_MAX_ITER if limit is None else limit
     x, r = x0, b - apply(x0)
     if not np.linalg.norm(r) < np.linalg.norm(b):
         x, r = np.zeros_like(b), b
     target = GMRES_RTOL * np.linalg.norm(b)
     done = 0
     while not (beta := np.linalg.norm(r)) <= target:
-        if done >= GMRES_MAX_ITER or not np.isfinite(beta):
+        if done >= limit or not np.isfinite(beta):
             raise NonConvergenceError(
                 f"GMRES on the {name} collocation system stopped at relative "
                 f"residual {beta / np.linalg.norm(b):.3e} after {done} iterations")
-        m = min(GMRES_RESTART, GMRES_MAX_ITER - done)
+        m = min(GMRES_RESTART, limit - done)
         V = np.empty((m + 1, b.size))  # each row written before it is read
         H = np.zeros((m + 1, m))
         rot = np.zeros((m, 2))  # Givens (cos, sin) reducing H to triangular
@@ -308,10 +343,10 @@ def _gmres(apply, precondition, b, name, x0):
             if abs(g[k + 1]) <= target or hk == 0.0:
                 break
             V[k + 1] = w / hk
-        z = solve_triangular(H[:k + 1, :k + 1], g[:k + 1])
+        z = np.linalg.solve(H[:k + 1, :k + 1], g[:k + 1])
         x = x + precondition(z @ V[:k + 1])
         r = b - apply(x)
-    return x
+    return x, done
 
 
 def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
@@ -365,10 +400,11 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     last, omega = np.full(B, np.inf), np.ones(B)  # previous update delta, blend weight
     passes = np.zeros(B, dtype=int)  # pass each member converged at, 0 while moving
     history = [[] for _ in range(B)]
-    # Shared by L/H and F, each solved before the next is assembled; column-major
-    # like the setup's operator matrices, as C order makes assembly a third slower.
+    # Dense buffers shared by L/H and F, each solved before the next is assembled;
+    # column-major like the setup's operator matrices, as C order makes assembly
+    # a third slower.  Matrix-free, each member's preconditioners by system.
     work = (np.empty((2, B, N * M, N * M)).swapaxes(2, 3)
-            if N * M <= DENSE_MAX_UNKNOWNS else None)
+            if N * M <= DENSE_MAX_UNKNOWNS else [{} for _ in range(B)])
 
     for it in range(1, max_iter + 1):
         S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])

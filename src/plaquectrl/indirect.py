@@ -76,7 +76,6 @@ class AdjointSolution:
     P_R: np.ndarray
     phi: np.ndarray  # recovered bang-bang control samples on time_grid
     switching_times: list
-    tie_break_samples: np.ndarray  # mask: phi held by the xi = 0 tie-break
     shooting: ShootingVector
     residual_norm: float
     newton_iterations: int
@@ -139,33 +138,13 @@ def rk4_step(f, t, y, h) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_integrate(rhs, y0, time_grid) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta over a uniform grid.
-
-    ``rhs`` is called as ``rhs(t, y)``.  Returns the trajectory at every
-    grid point, shape (len(time_grid), len(y0)).  A non-finite state aborts
-    with :class:`IntegrationError` carrying the offending time.
-    """
-    time_grid = np.asarray(time_grid, dtype=float)
-    y = np.asarray(y0, dtype=float).copy()
-    out = np.empty((time_grid.size, y.size))
-    out[0] = y
-    for n in range(time_grid.size - 1):
-        t = time_grid[n]
-        y = rk4_step(rhs, t, y, time_grid[n + 1] - t)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(float(time_grid[n + 1]))
-        out[n + 1] = y
-    return out
-
-
 def _control_from_xi(xi_value, phi_prev, Kbound):
     """Bang-bang law with the tie held at the previous value."""
     if xi_value < 0.0:
-        return Kbound, False
+        return Kbound
     if xi_value > 0.0:
-        return 0.0, False
-    return phi_prev, True
+        return 0.0
+    return phi_prev
 
 
 def _xi_at_inner(y, setup, inner: model.Points):
@@ -188,8 +167,7 @@ def _integrate_with_control(y0, setup, params, n_steps):
 
     The control is refreshed from the sign of the switching function at the
     start of each step and held constant across the RK4 stages.  Returns
-    (terminal y, time_grid, trajectory, phi samples, tie mask, switching
-    times).  Raises ``ValueError`` below ``RK4_MIN_STEPS`` steps.
+    (terminal y, time_grid, trajectory, phi samples, switching times).  Raises ``ValueError`` below ``RK4_MIN_STEPS`` steps.
     """
     if n_steps < RK4_MIN_STEPS:
         raise ValueError(f"n_steps must be >= {RK4_MIN_STEPS}, got {n_steps}")
@@ -198,7 +176,6 @@ def _integrate_with_control(y0, setup, params, n_steps):
     y = np.asarray(y0, dtype=float).copy()
     traj = np.empty((grid.size, y.size))
     phi_samples = np.empty(grid.size)
-    tie_mask = np.zeros(grid.size, dtype=bool)
     switching = []
     phi_prev = 0.0
     xi_prev = None
@@ -207,9 +184,8 @@ def _integrate_with_control(y0, setup, params, n_steps):
     for n in range(grid.size):
         t = grid[n]
         xi = _xi_at_inner(y, setup, inner)
-        phi, tie = _control_from_xi(xi, phi_prev, params.Kbound)
+        phi = _control_from_xi(xi, phi_prev, params.Kbound)
         phi_samples[n] = phi
-        tie_mask[n] = tie
         if xi_prev is not None and xi_prev * xi < 0.0:
             # linear estimate of the crossing inside the previous step
             switching.append(float(t - h + h * xi_prev / (xi_prev - xi)))
@@ -221,7 +197,7 @@ def _integrate_with_control(y0, setup, params, n_steps):
         if not np.all(np.isfinite(y)):
             raise IntegrationError(float(grid[n + 1]))
         traj[n + 1] = y
-    return y, grid, traj, phi_samples, tie_mask, switching
+    return y, grid, traj, phi_samples, switching
 
 
 def _initial_state(s: ShootingVector, setup: CollocationSetup) -> np.ndarray:
@@ -317,10 +293,10 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
             break
         converged = best_norm < tol
 
-    yend, grid, traj, phi_samples, tie_mask, switching = sweep
+    yend, grid, traj, phi_samples, switching = sweep
     return AdjointSolution(
         time_grid=grid, blocks=traj[:, :6 * N].reshape(-1, 6, N),
         R=traj[:, 6 * N], P_R=traj[:, 6 * N + 1],
-        phi=phi_samples, switching_times=switching, tie_break_samples=tie_mask,
+        phi=phi_samples, switching_times=switching,
         shooting=ShootingVector(s), residual_norm=best_norm, newton_iterations=it,
         converged=converged, setup=setup)

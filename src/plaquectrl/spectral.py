@@ -123,11 +123,9 @@ class CollocationSetup:
     # basis values at the interval endpoints (for boundary synthesis)
     space_at_m1: np.ndarray
     time_at_p1: np.ndarray
-    # inverses for the space-time solves and the boundary ODE; K = D0t^-1 D1t
+    # inverses for the space-time solves and the boundary ODE
     D0rT_inv: np.ndarray
-    D0t_inv: np.ndarray
     D1tT_inv: np.ndarray
-    K: np.ndarray
     # Fused maps, one product each: D012r = [D0r | D1r | D2r] gives nodal values,
     # slopes and curvatures; from nodal dv/drho, V_map gives v and dv/drho at the
     # nodes and at rho = -1 (v(1) = 0), and Pv_map gives P_v at the nodes (P_v(-1) = 0).
@@ -179,7 +177,6 @@ def build_setup(N: int, M: int) -> CollocationSetup:
     rho = legendre_gauss_nodes(N - 1)
     t = legendre_gauss_radau_nodes(M - 1)
     D0r, D0t, D1t = space.eval(rho, 0), time.eval(t, 0), time.eval(t, 1)
-    D0t_inv = np.linalg.inv(D0t)
     legendre = PolynomialBasis(np.eye(N + 1))
     # First-order solves in Legendre degrees 0..N: V0r[k, m] = P_m(rho_k),
     # V1r[k, m] = P_m'(rho_k); pin_p1 (pin_m1) maps nodal values of a derivative
@@ -193,7 +190,6 @@ def build_setup(N: int, M: int) -> CollocationSetup:
         N=N, M=M, space_basis=space, time_basis=time, rho=rho, t=t,
         D0r=D0r, D1r=D1r, D2r=D2r, D0t=D0t, D1t=D1t,
         space_at_m1=space.eval(-1.0), time_at_p1=time.eval(1.0),
-        D0rT_inv=np.linalg.inv(D0r.T), D0t_inv=D0t_inv,
-        D1tT_inv=np.linalg.inv(D1t.T), K=D0t_inv @ D1t,
+        D0rT_inv=np.linalg.inv(D0r.T), D1tT_inv=np.linalg.inv(D1t.T),
         D012r=np.hstack([D0r, D1r, D2r]), Pv_map=V0r @ pin_m1,
         V_map=np.vstack([V0r, V_at_m1, legendre.eval(-1.0, 1), V1r]) @ pin_p1)

@@ -251,13 +251,14 @@ def test_criterion_9_rk4_order():
     def rhs(t, y):
         return np.array([-y[0] + np.sin(3.0 * t)])
 
-    errs = []
-    for n in (40, 80):
-        grid = np.linspace(0.0, 1.0, n + 1)
-        traj = indirect.rk4_integrate(rhs, np.array([1.0]), grid)
-        fine = np.linspace(0.0, 1.0, 2 ** 14 + 1)
-        ref = indirect.rk4_integrate(rhs, np.array([1.0]), fine)
-        errs.append(abs(traj[-1, 0] - ref[-1, 0]))
+    def final(n):  # indirect.rk4_step, the step the shooting sweep takes, n times on [0, 1]
+        y = np.array([1.0])
+        for k in range(n):
+            y = indirect.rk4_step(rhs, k / n, y, 1.0 / n)
+        return y[0]
+
+    ref = final(2 ** 14)
+    errs = [abs(final(n) - ref) for n in (40, 80)]
     factor = errs[0] / errs[1]
     ok = 12.0 <= factor <= 20.0
     _verdict(9, ok, f"step-halving error factor {factor:.2f} (in [12, 20])")

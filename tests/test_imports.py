@@ -1,5 +1,5 @@
-"""Import cost of the package: heavy SciPy submodules stay unloaded, and the
-small-grid paths never load scipy.linalg."""
+"""Import cost of the package: heavy SciPy submodules stay unloaded, and no
+solve loads scipy.linalg."""
 
 import os
 import subprocess
@@ -12,8 +12,8 @@ import plaquectrl
 
 # On top of the package, importing scipy.sparse.linalg adds about 30 ms and
 # 2.4 MB of peak RSS, scipy.special about 70 ms and 2.6 MB, and scipy.linalg
-# about 0.27 s and 21-26 MB (2-vCPU VM).  Only the matrix-free solve above
-# direct.DENSE_MAX_UNKNOWNS unknowns needs scipy.linalg, and it imports it.
+# about 0.27 s and 21-26 MB (2-vCPU VM).  Both fixed-point paths, dense and
+# matrix-free, and the shooting route run on numpy alone.
 HEAVY = ("scipy.sparse.linalg", "scipy.special", "scipy.linalg")
 
 
@@ -31,7 +31,7 @@ def test_package_imports_load_no_heavy_scipy_module():
                 f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))") == ""
 
 
-def test_scipy_linalg_loads_only_for_the_matrix_free_solve():
+def test_scipy_linalg_never_loads():
     out = _run("""
 import sys
 import numpy as np
@@ -49,7 +49,7 @@ assert s.N * s.M > direct.DENSE_MAX_UNKNOWNS
 state = direct.fixed_point_solve(direct.ControlVector(np.zeros(10), P.Kbound), s, P)
 print('scipy.linalg' in sys.modules, state.converged)
 """)
-    assert out.split() == ["False", "True", "True"]
+    assert out.split() == ["False", "False", "True"]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

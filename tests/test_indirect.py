@@ -22,16 +22,24 @@ class TestShootingVector:
         assert indirect.ShootingVector(np.zeros(13)).N == 4
 
 
+def _rk4(rhs, y0, grid):
+    """Trajectory of indirect.rk4_step, the step the shooting sweep takes,
+    looped over ``grid``."""
+    traj = [np.asarray(y0, dtype=float)]
+    for t, t_next in zip(grid[:-1], grid[1:]):
+        traj.append(indirect.rk4_step(rhs, t, traj[-1], t_next - t))
+    return np.array(traj)
+
+
 class TestRk4:
     def test_exponential_growth(self):
         grid = np.linspace(0.0, 2.0, 201)
-        traj = indirect.rk4_integrate(lambda t, y: y, np.array([1.0]), grid)
+        traj = _rk4(lambda t, y: y, np.array([1.0]), grid)
         assert abs(traj[-1, 0] - 7.3890560989) < 1e-6
 
     def test_constant_rhs_exact(self):
         grid = np.linspace(-1.0, 1.0, 5)
-        traj = indirect.rk4_integrate(
-            lambda t, y: np.array([3.0]), np.array([0.5]), grid)
+        traj = _rk4(lambda t, y: np.array([3.0]), np.array([0.5]), grid)
         assert np.allclose(traj[:, 0], 0.5 + 3.0 * (grid + 1.0), atol=1e-14)
 
     def test_fourth_order_convergence(self):
@@ -40,16 +48,10 @@ class TestRk4:
         errs = []
         for n in (20, 40):
             grid = np.linspace(0.0, 1.0, n + 1)
-            traj = indirect.rk4_integrate(rhs, np.array([1.0]), grid)
+            traj = _rk4(rhs, np.array([1.0]), grid)
             errs.append(abs(traj[-1, 0] - np.exp(-1.0)))
         factor = errs[0] / errs[1]
         assert 12.0 < factor < 20.0
-
-    def test_nonfinite_abort(self):
-        grid = np.linspace(0.0, 2.0, 11)
-        with np.errstate(over="ignore"), pytest.raises(indirect.IntegrationError):
-            indirect.rk4_integrate(
-                lambda t, y: y * y, np.array([10.0]), grid)
 
 
 class TestOdeRhs:
@@ -213,7 +215,7 @@ class TestSolveIndirect:
         assert sol.newton_iterations == 0 and len(sweeps) == 1
         # the kept trajectory is the one a fresh sweep of the vector gives
         y0 = indirect._initial_state(sol.shooting, sol.setup)
-        _, grid, traj, phi, _, _ = integrate(y0, sol.setup, P.decoupled(), 100)
+        _, grid, traj, phi, _ = integrate(y0, sol.setup, P.decoupled(), 100)
         assert np.array_equal(grid, sol.time_grid) and np.array_equal(phi, sol.phi)
         assert np.array_equal(traj[:, 6 * 4], sol.R)
 
