@@ -11,15 +11,17 @@ Five subcommands map one-to-one onto the library workflows:
 Configuration is a sectioned key=value file (configparser dialect) with
 command-line flags overriding file values.  One table, ``SECTIONS``, lists
 every key with its default; solver defaults are the library's own.  Exit
-codes: 0 success, 1 solver non-convergence, 2 invalid input.  All
-floating-point output uses 12 significant digits and runs are deterministic
-(byte-identical CSV bodies).
+codes: 0 success, 1 solver non-convergence, 2 invalid input.  This module
+alone formats artifacts: every CSV goes through ``_write_csv`` (commas, LF
+line endings, floating-point cells at 12 significant digits) and runs are
+deterministic (byte-identical CSV bodies).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import dataclasses
 import json
 import math
@@ -157,7 +159,10 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: str, rows):
-    path.write_text("\n".join([header] + [",".join(map(_fmt, r)) for r in rows]) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows(map(_fmt, r) for r in rows)
 
 
 def _write_route(route, outdir: Path, t, rho, fields, R, eps, control):
@@ -239,14 +244,36 @@ def _run_compare(config: RunConfig, outdir: Path, summary: dict) -> int:
     return max(code_d, code_i)
 
 
+def _study_table(rows, params: ModelParameters) -> str:
+    """Plain-text table of a convergence study (one row per grid)."""
+    lines = [
+        f"self-convergence study  (reference grid {rows[0].Ne} x {rows[0].Me}; "
+        f"L0={params.L0}, H0={params.H0}, T={params.T})",
+        f"{'N':>4} {'M':>4} {'Einf(L)':>12} {'Einf(H)':>12} {'Einf(F)':>12} "
+        f"{'E2(L)':>12} {'E(J)':>12}",
+    ]
+    for r in rows:
+        if r.failed:
+            lines.append(f"{r.N:>4} {r.M:>4}  failed: {r.message}")
+        else:
+            lines.append(
+                f"{r.N:>4} {r.M:>4} {r.Einf['L']:>12.4e} {r.Einf['H']:>12.4e} "
+                f"{r.Einf['F']:>12.4e} {r.E2['L']:>12.4e} {r.EJ:>12.4e}")
+    return "\n".join(lines) + "\n"
+
+
 def _run_convergence(config: RunConfig, outdir: Path, summary: dict) -> int:
     grids = _parse_list("study_grids", config.run["study_grids"])
     ref = (config.grid["Ne"], config.grid["Me"])
     rows = verify.convergence_study(config.params, grids, reference_grid=ref,
                                     fp_tol=config.solver["fp_tol"],
                                     fp_max_iter=config.solver["fp_max_iter"])
-    (outdir / "convergence.csv").write_text(verify.study_csv(rows))
-    (outdir / "convergence.txt").write_text(verify.study_table(rows, config.params))
+    _write_csv(outdir / "convergence.csv",
+               "N,M,Einf_L,Einf_H,Einf_F,E2_L,E2_H,E2_F,E_J,status",
+               ([r.N, r.M] + ([""] * 7 + [f"failed: {r.message}"] if r.failed else
+                             [r.Einf[u] for u in "LHF"] + [r.E2[u] for u in "LHF"]
+                             + [r.EJ, "ok"]) for r in rows))
+    (outdir / "convergence.txt").write_text(_study_table(rows, config.params))
     summary["convergence"] = [
         {"N": r.N, "M": r.M, "failed": r.failed, "cpu_seconds": r.cpu_seconds,
          "Einf_L": None if r.failed else r.Einf["L"]}
@@ -262,7 +289,15 @@ def _run_sweep(config: RunConfig, outdir: Path, summary: dict) -> int:
         pairs, config.params, setup, fp_tol=config.solver["fp_tol"],
         fp_max_iter=config.solver["fp_max_iter"],
         nlp_options=_nlp_options(config.solver))
-    (outdir / "sweep.csv").write_text(verify.sweep_csv(results))
+    rows = []
+    for r in results:
+        if r["failed"]:
+            rows.append((r["L0"], r["H0"], "", "", "", f"failed: {r['message']}"))
+        else:
+            rows += [(r["L0"], r["H0"], *v, "ok")
+                     for v in zip(r["t"], r["R_uncontrolled"], r["R_controlled"])]
+    _write_csv(outdir / "sweep.csv", "L0,H0,tau,R_uncontrolled,R_controlled,status",
+               rows)
     summary["sweep"] = [
         {"L0": r["L0"], "H0": r["H0"], "failed": r["failed"],
          "final_R_uncontrolled": None if r["failed"] else float(r["R_uncontrolled"][-1]),

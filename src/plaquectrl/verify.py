@@ -2,20 +2,17 @@
 and the control-effect sweep over initial-concentration pairs.
 
 Error norms compare a coarse-grid solution at its own collocation nodes with
-a fine reference synthesized at the same points.  The study emitters produce
-a CSV file and a plain-text table with one row per grid or parameter pair;
-failed rows are recorded rather than aborting the whole study.  A fixed-point
-solve that stops without converging fails its row: no number from it is
-reported.
+a fine reference synthesized at the same points.  Each study returns one
+record per grid or parameter pair and writes no files (the command line
+formats them); failed rows are recorded rather than aborting the whole
+study.  A fixed-point solve that stops without converging fails its row: no
+number from it is reported.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 
 import numpy as np
 
@@ -24,17 +21,13 @@ from .params import ModelParameters
 from .spectral import build_setup
 
 
-def err_inf(coarse_eval, reference_eval, rho_nodes, t_nodes) -> float:
-    """Max absolute difference over the tensor grid of coarse nodes."""
-    a = np.asarray(coarse_eval(rho_nodes, t_nodes), dtype=float)
-    b = np.asarray(reference_eval(rho_nodes, t_nodes), dtype=float)
+def err_inf(a, b) -> float:
+    """Max absolute difference between two nodal arrays of one grid."""
     return float(np.max(np.abs(a - b)))
 
 
-def err_l2(coarse_eval, reference_eval, rho_nodes, t_nodes) -> float:
-    """Unweighted root-sum-square difference over the tensor grid."""
-    a = np.asarray(coarse_eval(rho_nodes, t_nodes), dtype=float)
-    b = np.asarray(reference_eval(rho_nodes, t_nodes), dtype=float)
+def err_l2(a, b) -> float:
+    """Unweighted root-sum-square difference between two nodal arrays."""
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
@@ -87,10 +80,10 @@ def convergence_study(params: ModelParameters, grid_list,
                                              tol=fp_tol, max_iter=fp_max_iter)
             direct.require_converged(state, f"{N}x{M}")
             for which, C, C_ref in zip("LHF", state.C, ref_state.C):
-                ce = partial(setup.eval_field, C)
-                re = partial(ref_setup.eval_field, C_ref)
-                row.Einf[which] = err_inf(ce, re, setup.rho, setup.t)
-                row.E2[which] = err_l2(ce, re, setup.rho, setup.t)
+                a = setup.eval_field(C, setup.rho, setup.t)
+                b = ref_setup.eval_field(C_ref, setup.rho, setup.t)
+                row.Einf[which] = err_inf(a, b)
+                row.E2[which] = err_l2(a, b)
             row.EJ = abs((1.0 - state.final_radius() - params.eps) - ref_J)
         except Exception as exc:  # noqa: BLE001 - row isolation by contract
             row.failed = True
@@ -98,41 +91,6 @@ def convergence_study(params: ModelParameters, grid_list,
         row.cpu_seconds = time.perf_counter() - t0
         rows.append(row)
     return rows
-
-
-def study_csv(rows) -> str:
-    """Convergence-study rows as CSV text."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["N", "M", "Einf_L", "Einf_H", "Einf_F",
-                "E2_L", "E2_H", "E2_F", "E_J", "status"])
-    for r in rows:
-        if r.failed:
-            w.writerow([r.N, r.M] + [""] * 7 + [f"failed: {r.message}"])
-        else:
-            w.writerow([r.N, r.M]
-                       + [f"{r.Einf[u]:.12g}" for u in "LHF"]
-                       + [f"{r.E2[u]:.12g}" for u in "LHF"]
-                       + [f"{r.EJ:.12g}", "ok"])
-    return buf.getvalue()
-
-
-def study_table(rows, params: ModelParameters) -> str:
-    """Plain-text table of a convergence study (one row per grid)."""
-    lines = [
-        f"self-convergence study  (reference grid {rows[0].Ne} x {rows[0].Me}; "
-        f"L0={params.L0}, H0={params.H0}, T={params.T})",
-        f"{'N':>4} {'M':>4} {'Einf(L)':>12} {'Einf(H)':>12} {'Einf(F)':>12} "
-        f"{'E2(L)':>12} {'E(J)':>12}",
-    ]
-    for r in rows:
-        if r.failed:
-            lines.append(f"{r.N:>4} {r.M:>4}  failed: {r.message}")
-        else:
-            lines.append(
-                f"{r.N:>4} {r.M:>4} {r.Einf['L']:>12.4e} {r.Einf['H']:>12.4e} "
-                f"{r.Einf['F']:>12.4e} {r.E2['L']:>12.4e} {r.EJ:>12.4e}")
-    return "\n".join(lines) + "\n"
 
 
 def cross_method_diff(direct_state: "direct.StateSolution",
@@ -202,23 +160,6 @@ def control_effect_sweep(pairs, params: ModelParameters, setup,
             row["message"] = f"{type(exc).__name__}: {exc}"
         results.append(row)
     return results
-
-
-def sweep_csv(results) -> str:
-    """Sweep results as CSV text (one row per pair and time sample)."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["L0", "H0", "tau", "R_uncontrolled", "R_controlled", "status"])
-    for row in results:
-        if row["failed"]:
-            w.writerow([row["L0"], row["H0"], "", "", "",
-                        f"failed: {row['message']}"])
-            continue
-        for tau, ru, rc in zip(row["t"], row["R_uncontrolled"],
-                               row["R_controlled"]):
-            w.writerow([f"{row['L0']:.12g}", f"{row['H0']:.12g}",
-                        f"{tau:.12g}", f"{ru:.12g}", f"{rc:.12g}", "ok"])
-    return buf.getvalue()
 
 
 DEFAULT_SWEEP_PAIRS = [(0.0100, 0.0050), (0.0120, 0.0050),

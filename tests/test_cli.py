@@ -1,6 +1,7 @@
 """Config loading and end-to-end command runs of the CLI."""
 
 import argparse
+import csv
 import dataclasses
 import json
 
@@ -125,6 +126,13 @@ def test_control_runs_match_the_loop():
             assert list(a) == b
 
 
+def test_write_csv_quotes_a_comma(tmp_path):
+    message = "failed: OcclusionError: R + eps >= 1 (R = 0.99, eps = 0.02)"
+    cli._write_csv(tmp_path / "rows.csv", "x,status", [(0.5, message)])
+    rows = list(csv.reader((tmp_path / "rows.csv").read_text().splitlines()))
+    assert rows == [["x", "status"], ["0.5", message]]
+
+
 def _run_main(tmp_path, command, extra=()):
     args = [command, "--output-dir", str(tmp_path), "--N", "4", "--M", "4",
             "--sqp-max-iter", "2", "--fp-max-iter", "400",
@@ -184,6 +192,29 @@ class TestCommands:
         lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
+    def test_convergence_csv_and_table_shapes(self, tmp_path):
+        code = _run_main(tmp_path, "convergence",
+                         extra=["--study-grids", "2x2", "--Ne", "4", "--Me", "4"])
+        assert code == 0
+        lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("N,M,Einf_L")
+        assert "self-convergence" in (tmp_path / "convergence.txt").read_text()
+
+    def test_failed_study_rows_are_written(self, tmp_path):
+        # default parameters: one line per row, failed or not
+        code = cli.main(["convergence", "--output-dir", str(tmp_path / "a"),
+                         "--study-grids", "1x1,4x4", "--Ne", "8", "--Me", "8",
+                         "--fp-max-iter", "400"])
+        assert code in (0, 1)
+        assert (tmp_path / "a" / "convergence.csv").read_text().count("\n") == 3
+        code = cli.main(["convergence", "--output-dir", str(tmp_path / "b"),
+                         "--study-grids", "2x2,4x4", "--Ne", "6", "--Me", "6",
+                         "--fp-max-iter", "1"])
+        assert code == 1
+        text = (tmp_path / "b" / "convergence.csv").read_text()
+        assert text.count("failed: NonConvergenceError") == 2
+
     def test_sweep_rows(self, tmp_path):
         code = _run_main(tmp_path, "sweep",
                          extra=["--sweep-pairs", "0.01:0.005"])
@@ -191,12 +222,53 @@ class TestCommands:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["summary"]["sweep"]) == 1
 
+    def test_sweep_csv_schema(self, tmp_path):
+        pd = ModelParameters().decoupled()
+        code = _run_main(tmp_path, "sweep", extra=[
+            "--sweep-pairs", f"{pd.L0}:{pd.H0}", "--sqp-max-iter", "1"])
+        assert code == 0
+        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert lines[0] == "L0,H0,tau,R_uncontrolled,R_controlled,status"
+        assert len(lines) == 1 + 101
+
+    def test_failed_sweep_row_formats_like_a_good_row(self, tmp_path):
+        code = _run_main(tmp_path, "sweep",
+                         extra=["--sweep-pairs=-1:0.005,0.01:0.005"])
+        assert code == 1
+        rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()))
+        assert rows[1][:2] == ["-1", "0.005"]
+        assert rows[1][2:5] == ["", "", ""] and rows[1][5].startswith("failed: ")
+        assert rows[2][:2] == ["0.01", "0.005"] and rows[2][5] == "ok"
+
+    def test_every_csv_is_lf_only_and_rectangular(self, tmp_path):
+        study = ["--study-grids", "2x2", "--Ne", "3", "--Me", "3"]
+        for command, extra, count in (
+                ("compare", [], 11),
+                ("sweep", ["--sweep-pairs", "0.01:0.005"], 1),
+                ("convergence", study, 1)):
+            out = tmp_path / command
+            assert _run_main(out, command, extra) == 0
+            paths = sorted(out.glob("*.csv"))
+            assert len(paths) == count, command
+            for path in paths:
+                data = path.read_bytes()
+                assert b"\r" not in data, path.name
+                lines = data.decode().split("\n")
+                assert lines.pop() == "", path.name
+                width = len(next(csv.reader(lines[:1])))
+                for line in lines:
+                    assert len(next(csv.reader([line]))) == width, (path.name, line)
+
     def test_deterministic_artifacts(self, tmp_path):
         study = ["--study-grids", "2x2", "--Ne", "3", "--Me", "3"]
         for command, extra, names in (
                 ("solve-direct", [], ("direct_field_L.csv", "direct_radius.csv",
                                       "direct_control.csv")),
-                ("convergence", study, ("convergence.csv", "convergence.txt"))):
+                ("solve-indirect", [], tuple(
+                    f"indirect_{name}.csv" for name in (
+                        "field_L", "field_H", "field_F", "radius", "control"))),
+                ("convergence", study, ("convergence.csv", "convergence.txt")),
+                ("sweep", ["--sweep-pairs", "0.01:0.005"], ("sweep.csv",))):
             d1, d2 = tmp_path / command / "a", tmp_path / command / "b"
             assert _run_main(d1, command, extra) == 0
             assert _run_main(d2, command, extra) == 0
