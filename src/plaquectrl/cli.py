@@ -64,20 +64,12 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass
 class RunConfig:
-    """Fully resolved, validated run configuration."""
+    """Fully resolved, validated run configuration, one field per section."""
 
-    params: ModelParameters
+    parameters: ModelParameters
     grid: dict
     solver: dict
     run: dict
-
-    def as_manifest_dict(self) -> dict:
-        return {
-            "parameters": dataclasses.asdict(self.params),
-            "grid": dict(self.grid),
-            "solver": dict(self.solver),
-            "run": dict(self.run),
-        }
 
 
 def _parse_list(key: str, text: str):
@@ -151,7 +143,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if not (1 <= N < Ne and 1 <= M < Me):
             raise ConfigError(f"study grid {N}x{M} is not strictly coarser than "
                               f"the reference {Ne}x{Me}")
-    return RunConfig(params=params, grid=grid, solver=solver, run=run)
+    return RunConfig(parameters=params, grid=grid, solver=solver, run=run)
 
 
 def _fmt(x) -> str:
@@ -191,9 +183,9 @@ def _nlp_options(solver: dict) -> NlpOptions:
 
 def _direct(config: RunConfig, outdir: Path, summary: dict):
     setup = build_setup(config.grid["N"], config.grid["M"])
-    sv, eps = config.solver, config.params.eps
+    sv, eps = config.solver, config.parameters.eps
     best, state, value, result = direct.solve_direct(
-        setup, config.params, _nlp_options(sv),
+        setup, config.parameters, _nlp_options(sv),
         fp_tol=sv["fp_tol"], fp_max_iter=sv["fp_max_iter"])
     edges = best.partition
     _write_route("direct", outdir, setup.t, setup.rho,
@@ -215,8 +207,8 @@ def _direct(config: RunConfig, outdir: Path, summary: dict):
 
 def _indirect(config: RunConfig, outdir: Path, summary: dict):
     setup = build_setup(config.grid["N"], config.grid["M"])
-    sv, eps = config.solver, config.params.eps
-    sol = indirect.solve_indirect(setup, config.params, tol=sv["shoot_tol"],
+    sv, eps = config.solver, config.parameters.eps
+    sol = indirect.solve_indirect(setup, config.parameters, tol=sv["shoot_tol"],
                                   max_iter=sv["shoot_max_iter"],
                                   n_steps=sv["rk4_steps"])
     _write_route("indirect", outdir, sol.time_grid, setup.rho,
@@ -265,7 +257,7 @@ def _study_table(rows, params: ModelParameters) -> str:
 def _run_convergence(config: RunConfig, outdir: Path, summary: dict) -> int:
     grids = _parse_list("study_grids", config.run["study_grids"])
     ref = (config.grid["Ne"], config.grid["Me"])
-    rows = verify.convergence_study(config.params, grids, reference_grid=ref,
+    rows = verify.convergence_study(config.parameters, grids, reference_grid=ref,
                                     fp_tol=config.solver["fp_tol"],
                                     fp_max_iter=config.solver["fp_max_iter"])
     _write_csv(outdir / "convergence.csv",
@@ -273,7 +265,7 @@ def _run_convergence(config: RunConfig, outdir: Path, summary: dict) -> int:
                ([r.N, r.M] + ([""] * 7 + [f"failed: {r.message}"] if r.failed else
                              [r.Einf[u] for u in "LHF"] + [r.E2[u] for u in "LHF"]
                              + [r.EJ, "ok"]) for r in rows))
-    (outdir / "convergence.txt").write_text(_study_table(rows, config.params))
+    (outdir / "convergence.txt").write_text(_study_table(rows, config.parameters))
     summary["convergence"] = [
         {"N": r.N, "M": r.M, "failed": r.failed, "cpu_seconds": r.cpu_seconds,
          "Einf_L": None if r.failed else r.Einf["L"]}
@@ -286,7 +278,7 @@ def _run_sweep(config: RunConfig, outdir: Path, summary: dict) -> int:
     pairs = _parse_list("sweep_pairs", config.run["sweep_pairs"])
     setup = build_setup(config.grid["N"], config.grid["M"])
     results = verify.control_effect_sweep(
-        pairs, config.params, setup, fp_tol=config.solver["fp_tol"],
+        pairs, config.parameters, setup, fp_tol=config.solver["fp_tol"],
         fp_max_iter=config.solver["fp_max_iter"],
         nlp_options=_nlp_options(config.solver))
     rows = []
@@ -301,10 +293,11 @@ def _run_sweep(config: RunConfig, outdir: Path, summary: dict) -> int:
     summary["sweep"] = [
         {"L0": r["L0"], "H0": r["H0"], "failed": r["failed"],
          "final_R_uncontrolled": None if r["failed"] else float(r["R_uncontrolled"][-1]),
-         "final_R_controlled": None if r["failed"] else float(r["R_controlled"][-1])}
+         "final_R_controlled": None if r["failed"] else float(r["R_controlled"][-1]),
+         "sqp_converged": r.get("sqp_converged")}
         for r in results
     ]
-    return 1 if any(r["failed"] for r in results) else 0
+    return 1 if any(r["failed"] or not r["sqp_converged"] for r in results) else 0
 
 
 _COMMANDS = {
@@ -332,7 +325,7 @@ def run(command: str, config: RunConfig) -> int:
         return 1
     manifest = {
         "command": command,
-        "config": config.as_manifest_dict(),
+        "config": dataclasses.asdict(config),
         "summary": summary,
         "wall_seconds": time.perf_counter() - t0,
         "exit_code": code,

@@ -127,7 +127,8 @@ class StateSolution:
     """Converged (or best-effort) fields of one fixed-point solve.
 
     ``C`` (3, N, M) stacks the space-basis x time-basis coefficient matrices
-    of L, H and F; ``v_field`` holds nodal velocity values per time node,
+    of L, H and F, and ``C_R`` (M,) the time coefficients of R, so R(1) is
+    ``C_R @ D0t[:, -1]``; ``v_field`` holds nodal velocity values per time node,
     with the boundary trace and slope at rho = -1 alongside.
     """
 
@@ -152,7 +153,8 @@ class StateSolution:
         return self.C_R @ self.setup.D0t
 
     def final_radius(self) -> float:
-        return float(self.C_R @ self.setup.time_at_p1)
+        # a contiguous column: BLAS sums a strided dot in another order (1 ulp apart)
+        return float(self.C_R @ self.setup.D0t[:, -1].copy())
 
 
 def _apply_operator(g1, G2, setup, params, C):
@@ -375,7 +377,8 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     by member above ``DENSE_MAX_UNKNOWNS``.  Every member takes the same
     passes, and gives bit for bit the same state, as a batch of one.  Each
     pass builds one :class:`~plaquectrl.model.Frame` of the new iterate,
-    which serves its velocity solve and the next pass's grids.
+    which serves its velocity solve and the next pass's grids.  The iterate
+    C is (3, B, N, M), field-major like both, and member b gets ``C[:, b]``.
 
     Updates are under-relaxed adaptively, per member: the blend weight
     halves whenever the raw update delta grows and recovers toward 1 as it
@@ -391,7 +394,7 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     if phi.shape[1:] != (setup.M,) or not (phi.size and np.isfinite(phi).all()):
         raise ValueError(f"phi must be a finite (B, {setup.M}) array, B >= 1")
     B, (N, M) = len(phi), (setup.N, setup.M)
-    C = np.zeros((B, 3, N, M))  # L, H, F coefficient matrices
+    C = np.zeros((3, B, N, M))  # L, H, F coefficient matrices
     C_R = np.zeros((B, M))
     pts = model.Points(setup.rho[None, :, None], params)
     # The frame of the iterate: R (B, 1, M) at the time nodes, L, H, F at the nodes
@@ -408,12 +411,11 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
 
     for it in range(1, max_iter + 1):
         S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])
-        C_new = _solve_fields(S, LH, F, setup, params, work, C.swapaxes(0, 1))
-        C_new = C_new.swapaxes(0, 1)
+        C_new = _solve_fields(S, LH, F, setup, params, work, C)
         # One row product per member, never one product over the batch, so
         # that no member's rounding depends on the batch it is in.
         C_R_new = (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]
-        delta = np.maximum(np.abs(C_new - C).reshape(B, -1).max(axis=1),
+        delta = np.maximum(np.abs(C_new - C).max(axis=(0, 2, 3)),
                            np.abs(C_R_new - C_R).max(axis=1))
         moving = passes == 0
         if not np.all(np.isfinite(delta[moving])):
@@ -426,17 +428,15 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
             history[b].append(float(delta[b]))
         # A held member keeps its iterate exactly: np.where, not a zero
         # weight, as 0 * NaN of a held member's update would be NaN.
-        w = omega[:, None]
-        C = np.where(moving[:, None, None, None],
-                     (1.0 - w[:, :, None, None]) * C + w[:, :, None, None] * C_new, C)
-        C_R = np.where(moving[:, None], (1.0 - w) * C_R + w * C_R_new, C_R)
-        fr = model.Frame(pts, C_R[:, None] @ setup.D0t,
-                         setup.field_values(C).swapaxes(0, 1))
+        w = omega[:, None, None]
+        C = np.where(moving[:, None, None], (1.0 - w) * C + w * C_new, C)
+        C_R = np.where(moving[:, None], (1.0 - w[:, 0]) * C_R + w[:, 0] * C_R_new, C_R)
+        fr = model.Frame(pts, C_R[:, None] @ setup.D0t, setup.field_values(C))
         v_field, v_inner, _, _ = model.velocity_solve(fr, setup)
         passes[moving & (delta < tol)] = it
         if passes.all():
             break
-    return [StateSolution(C=C[b], C_R=C_R[b], v_field=v_field[b], v_inner=v_inner[b],
+    return [StateSolution(C=C[:, b], C_R=C_R[b], v_field=v_field[b], v_inner=v_inner[b],
                           residual_history=history[b], converged=bool(passes[b]),
                           iterations=int(passes[b]) or max_iter, setup=setup)
             for b in range(B)]

@@ -211,18 +211,21 @@ def _initial_state(s: ShootingVector, setup: CollocationSetup) -> np.ndarray:
     return y0
 
 
+def _residual(sweep, setup: CollocationSetup) -> np.ndarray:
+    """Terminal nodal adjoints and boundary adjoint of a completed sweep."""
+    yend, N = sweep[0], setup.N
+    return np.append(yend[3 * N:6 * N].reshape(3, N) @ setup.D0r, yend[6 * N + 1])
+
+
 def _shoot(s: ShootingVector, setup: CollocationSetup, params: ModelParameters,
            n_steps: int):
     """(residual, sweep) of :func:`shooting_residual`; the sweep is the return
     value of :func:`_integrate_with_control`, or None with the sentinel."""
-    N = setup.N
     try:
-        sweep = _integrate_with_control(_initial_state(s, setup), setup, params,
-                                        n_steps)
+        sweep = _integrate_with_control(_initial_state(s, setup), setup, params, n_steps)
     except (IntegrationError, model.OcclusionError):
-        return np.full(3 * N + 1, RESIDUAL_SENTINEL), None
-    yend = sweep[0]
-    return np.append(yend[3 * N:6 * N].reshape(3, N) @ setup.D0r, yend[6 * N + 1]), sweep
+        return np.full(3 * setup.N + 1, RESIDUAL_SENTINEL), None
+    return _residual(sweep, setup), sweep
 
 
 def shooting_residual(s: ShootingVector, setup: CollocationSetup,
@@ -254,12 +257,11 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
     dim = 3 * N + 1
     s = np.zeros(dim)
     res, sweep = _shoot(ShootingVector(s), setup, params, n_steps)
-    if sweep is None:
+    if sweep is None:  # retry at the doubled step count, which raises its own error
         n_steps *= 2
-        res, sweep = _shoot(ShootingVector(s), setup, params, n_steps)
-    if sweep is None:  # the sentinel: integrate again to raise its error
-        _integrate_with_control(_initial_state(ShootingVector(s), setup), setup,
-                                params, n_steps)
+        sweep = _integrate_with_control(_initial_state(ShootingVector(s), setup), setup,
+                                        params, n_steps)
+        res = _residual(sweep, setup)
     best_norm = float(np.max(np.abs(res)))
     it = 0
     converged = best_norm < tol

@@ -50,12 +50,14 @@ class DenominatorError(ValueError):
 
     def __init__(self, term: str, value):
         self.term = term
-        super().__init__(f"denominator {term} below floor: {value!r}")
+        super().__init__(f"denominator {term} below floor: smallest |value| = "
+                         f"{float(np.nanmin(np.abs(value)))}")
 
 
 def _check_occlusion(R, params):
     if np.asarray(R + params.eps >= 1.0).any():
-        raise OcclusionError(f"R + eps >= 1 (R = {R!r}, eps = {params.eps})")
+        raise OcclusionError(f"R + eps >= 1 (largest R = {float(np.nanmax(R))}, "
+                             f"eps = {params.eps})")
 
 
 def _guard(names, value):

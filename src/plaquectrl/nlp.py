@@ -141,25 +141,14 @@ def qp_subproblem(H, g, lower, upper) -> np.ndarray:
             active[worst] = 0
             continue
         # Step toward the free-variable minimizer, stopping at the first bound.
-        alpha = 1.0
-        block = -1
-        for i in np.where(free)[0]:
-            if step[i] > 0 and d[i] + step[i] > upper[i]:
-                a = (upper[i] - d[i]) / step[i]
-                if a < alpha:
-                    alpha, block = a, i
-            elif step[i] < 0 and d[i] + step[i] < lower[i]:
-                a = (lower[i] - d[i]) / step[i]
-                if a < alpha:
-                    alpha, block = a, i
-        d = d + alpha * step
-        if block >= 0:
-            if step[block] > 0:
-                d[block] = upper[block]
-                active[block] = 1
-            else:
-                d[block] = lower[block]
-                active[block] = -1
+        bound = np.where(step > 0, upper, lower)
+        hit = np.where(step > 0, d + step > bound, (step < 0) & (d + step < bound))
+        ratio = np.divide(bound - d, step, out=np.full(n, np.inf), where=hit)
+        block = int(np.argmin(ratio))
+        d = d + min(ratio[block], 1.0) * step
+        if ratio[block] < 1.0:
+            d[block] = bound[block]
+            active[block] = 1 if step[block] > 0 else -1
     raise RuntimeError("active-set iteration cap exceeded")
 
 
@@ -184,11 +173,11 @@ def _bfgs_update(B, s, y):
 def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
     """Damped-BFGS SQP with Armijo backtracking on the raw objective.
 
-    Terminates when the projected-gradient norm drops below the tolerance or
-    the iteration cap is reached; on line-search failure or a flat objective
-    the best accepted iterate is returned with ``converged`` reflecting the
-    projected-gradient test.  The trace of accepted (x, f) pairs is strictly
-    decreasing in f.
+    Stops when the projected-gradient test ``stationary`` passes, at the
+    iteration cap, on line-search failure or on a flat objective, and returns
+    the best accepted iterate; the same test on it sets ``converged``, so an
+    iterate reached at the cap (or with a cap of 0) can still be converged.
+    The trace of accepted (x, f) pairs is strictly decreasing in f.
     """
     opts = problem.options
     calls = points = 0
@@ -202,20 +191,20 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
         calls, points = calls + 1, points + len(X)
         return last
 
+    def stationary(x, g):  # a Python bool, as ``converged`` goes into JSON
+        pg = x - np.clip(x - g, problem.lower, problem.upper)
+        return bool(np.linalg.norm(pg, np.inf) < opts.tol)
+
     counted = replace(problem, objective=oracle)
     x = np.clip(np.asarray(x0, dtype=float), problem.lower, problem.upper)
     g = fd_gradient(counted, x)  # x goes first in the call with its probes
     f = float(last[0])
     trace = [(x.copy(), f)]
     B = np.eye(problem.dimension)
-    converged = False
     message = "iteration cap reached"
     it = 0
     for it in range(1, opts.max_iter + 1):
-        pg = x - np.clip(x - g, problem.lower, problem.upper)
-        if np.linalg.norm(pg, np.inf) < opts.tol:
-            converged = True
-            message = "projected gradient below tolerance"
+        if stationary(x, g):
             break
         d = qp_subproblem(B, g, problem.lower - x, problem.upper - x)
         slope = float(g @ d)
@@ -240,11 +229,8 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
         g_new = fd_gradient(counted, x, f)
         B = _bfgs_update(B, s, g_new - g)
         g = g_new
-    if not converged:
-        pg = x - np.clip(x - g, problem.lower, problem.upper)
-        if np.linalg.norm(pg, np.inf) < opts.tol:
-            converged = True
-            message = "projected gradient below tolerance"
+    if converged := stationary(x, g):
+        message = "projected gradient below tolerance"
     return NlpResult(x=x, fun=f, trace=trace, iterations=it,
                      converged=converged, message=message,
                      evaluations=points, oracle_calls=calls)

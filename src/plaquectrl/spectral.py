@@ -114,15 +114,13 @@ class CollocationSetup:
     space_basis: PolynomialBasis
     time_basis: PolynomialBasis
     rho: np.ndarray  # (N,) Gauss nodes
-    t: np.ndarray  # (M,) Radau nodes, t[-1] == 1
+    t: np.ndarray  # (M,) Radau nodes, t[-1] == 1, so D0t[:, -1] is the time basis at 1
     D0r: np.ndarray
     D1r: np.ndarray
     D2r: np.ndarray
     D0t: np.ndarray
     D1t: np.ndarray
-    # basis values at the interval endpoints (for boundary synthesis)
-    space_at_m1: np.ndarray
-    time_at_p1: np.ndarray
+    space_at_m1: np.ndarray  # space basis values at rho = -1 (boundary synthesis)
     # inverses for the space-time solves and the boundary ODE
     D0rT_inv: np.ndarray
     D1tT_inv: np.ndarray
@@ -188,8 +186,7 @@ def build_setup(N: int, M: int) -> CollocationSetup:
     D1r, D2r, V0r = space.eval(rho, 1), space.eval(rho, 2), legendre.eval(rho).T
     return CollocationSetup(
         N=N, M=M, space_basis=space, time_basis=time, rho=rho, t=t,
-        D0r=D0r, D1r=D1r, D2r=D2r, D0t=D0t, D1t=D1t,
-        space_at_m1=space.eval(-1.0), time_at_p1=time.eval(1.0),
+        D0r=D0r, D1r=D1r, D2r=D2r, D0t=D0t, D1t=D1t, space_at_m1=space.eval(-1.0),
         D0rT_inv=np.linalg.inv(D0r.T), D1tT_inv=np.linalg.inv(D1t.T),
         D012r=np.hstack([D0r, D1r, D2r]), Pv_map=V0r @ pin_m1,
         V_map=np.vstack([V0r, V_at_m1, legendre.eval(-1.0, 1), V1r]) @ pin_p1)

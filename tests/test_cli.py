@@ -22,7 +22,7 @@ class TestConfig:
     def test_defaults_without_file(self):
         cfg = cli.load_config()
         assert cfg.grid["N"] == 8 and cfg.grid["M"] == 8
-        assert cfg.params == ModelParameters()
+        assert cfg.parameters == ModelParameters()
 
     def test_file_and_override_precedence(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -30,7 +30,7 @@ class TestConfig:
         cfg = cli.load_config(str(f), overrides={"M": "6"})
         assert cfg.grid["N"] == 4
         assert cfg.grid["M"] == 6
-        assert cfg.params.eps == 0.02
+        assert cfg.parameters.eps == 0.02
 
     def test_unknown_section_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -221,6 +221,35 @@ class TestCommands:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["summary"]["sweep"]) == 1
+        assert manifest["summary"]["sweep"][0]["sqp_converged"] is True
+
+    def test_sweep_fails_on_an_unconverged_sqp(self, tmp_path):
+        # one SQP iteration cannot finish this pair: the run must say so in the
+        # manifest and the exit code, as solve-direct does, and leave sweep.csv
+        # with its usual rows
+        code = cli.main(["sweep", "--output-dir", str(tmp_path),
+                         "--sweep-pairs", "0.016:0.005", "--mu1", "0.06",
+                         "--mu2", "0.015", "--N", "4", "--M", "4", "--sqp-max-iter", "1"])
+        assert code == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        (row,) = manifest["summary"]["sweep"]
+        assert row["sqp_converged"] is False and row["failed"] is False
+        assert manifest["exit_code"] == 1
+        rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()))
+        assert len(rows) == 1 + 101 and all(r[5] == "ok" for r in rows[1:])
+
+    def test_failure_status_is_one_line(self, tmp_path):
+        # an occluded pair's message names scalars, so its quoted status cell
+        # holds no line break and the record is one physical line
+        code = cli.main(["sweep", "--output-dir", str(tmp_path),
+                         "--sweep-pairs", "5:0.005", "--eps", "0.9"])
+        assert code == 1
+        text = (tmp_path / "sweep.csv").read_text()
+        ((*_, status),) = list(csv.reader(text.splitlines()))[1:]
+        assert status.startswith("failed: OcclusionError: R + eps >= 1 (largest R = ")
+        assert "\n" not in status and text.count("\n") == 2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["summary"]["sweep"][0]["sqp_converged"] is None
 
     def test_sweep_csv_schema(self, tmp_path):
         pd = ModelParameters().decoupled()

@@ -219,14 +219,25 @@ class TestSolveIndirect:
         assert np.array_equal(grid, sol.time_grid) and np.array_equal(phi, sol.phi)
         assert np.array_equal(traj[:, 6 * 4], sol.R)
 
-    def test_sentinel_start_surfaces_its_integration_error(self):
+    def test_sentinel_start_surfaces_its_integration_error(self, monkeypatch):
         # both sweeps of the zero vector blow up; whether or not Newton steps
         # are left, the failure is raised, never returned as a trajectory nor
-        # reported as a singular Jacobian
+        # reported as a singular Jacobian, and the doubled sweep raises it
+        # itself: two sweeps, not a third to re-raise
+        steps = []
+
+        def counted(y0, setup, params, n_steps):
+            steps.append(n_steps)
+            return integrate(y0, setup, params, n_steps)
+
+        integrate = indirect._integrate_with_control
+        monkeypatch.setattr(indirect, "_integrate_with_control", counted)
         for max_iter in (0, indirect.SHOOT_MAX_ITER):
+            steps.clear()
             with np.errstate(all="ignore"), pytest.raises(indirect.IntegrationError):
                 indirect.solve_indirect(build_setup(4, 4), P.with_overrides(eps=0.999),
                                         max_iter=max_iter, n_steps=50)
+            assert steps == [50, 100]
 
     def test_sentinel_trial_is_never_accepted(self, monkeypatch):
         # a start residual above the sentinel, an identity Jacobian and a

@@ -118,6 +118,18 @@ class TestRhs:
         with pytest.raises(DenominatorError, match="delta"):
             model.rhs(fr, 0.0, 0.0, 0.0)
 
+    def test_failure_messages_are_one_line_scalars(self):
+        # an array argument gives its extreme value, never a multi-line repr
+        # that would depend on numpy's print options
+        value = np.linspace(1e-20, 1.0, 400).reshape(20, 20)
+        err = DenominatorError("delta + H + H0", value)
+        assert err.term == "delta + H + H0"
+        assert str(err) == "denominator delta + H + H0 below floor: smallest |value| = 1e-20"
+        R = np.linspace(0.0, 0.99, 400).reshape(2, 20, 10)
+        with pytest.raises(OcclusionError) as info:
+            model._check_occlusion(R, P)
+        assert str(info.value) == f"R + eps >= 1 (largest R = 0.99, eps = {P.eps})"
+
     def test_control_enters_through_phi_plus_k2(self):
         fr = _frame(0.0, 0.0, np.array([1e-4, 2e-4, 3e-4]))
         a = model.rhs(fr, 0.0, 0.0, 0.0)[1]

@@ -148,6 +148,17 @@ class TestSqpMinimize:
         r = sqp_minimize(p, np.array([0.7]))
         assert r.x[0] == 0.7 and r.iterations == 0
 
+    @pytest.mark.parametrize("max_iter, x0", [(0, 0.0), (1, 0.5)])
+    def test_stationary_at_the_cap_is_converged(self, max_iter, x0):
+        # f(x) = x on [0, 1]: the minimizer x = 0 is a bound, reached either at
+        # the start with no iteration allowed or by the last allowed step; only
+        # the test on the returned iterate can call either run converged
+        p = _problem(lambda x: float(x[0]), [0.0], [1.0], max_iter=max_iter)
+        r = sqp_minimize(p, np.array([x0]))
+        assert r.x[0] == 0.0 and r.iterations == max_iter
+        assert r.converged is True
+        assert r.message == "projected gradient below tolerance"
+
     def test_infeasible_start_projected(self):
         p = _problem(lambda x: float((x[0] - 0.3) ** 2), [0.0], [1.0])
         r = sqp_minimize(p, np.array([5.0]))
