@@ -98,7 +98,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
     """
     values = {}
     if path is not None:
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None, default_section="")
         cp.optionxform = str  # grid keys are case-sensitive (N vs Ne)
         try:
             with open(path) as fh:
@@ -236,10 +236,10 @@ def _run_compare(config: RunConfig, outdir: Path, summary: dict) -> int:
     return max(code_d, code_i)
 
 
-def _study_table(rows, params: ModelParameters) -> str:
-    """Plain-text table of a convergence study (one row per grid)."""
+def _study_table(rows, ref, params: ModelParameters) -> str:
+    """Plain-text table of a convergence study, one row per grid, against grid ``ref``."""
     lines = [
-        f"self-convergence study  (reference grid {rows[0].Ne} x {rows[0].Me}; "
+        f"self-convergence study  (reference grid {ref[0]} x {ref[1]}; "
         f"L0={params.L0}, H0={params.H0}, T={params.T})",
         f"{'N':>4} {'M':>4} {'Einf(L)':>12} {'Einf(H)':>12} {'Einf(F)':>12} "
         f"{'E2(L)':>12} {'E(J)':>12}",
@@ -265,7 +265,7 @@ def _run_convergence(config: RunConfig, outdir: Path, summary: dict) -> int:
                ([r.N, r.M] + ([""] * 7 + [f"failed: {r.message}"] if r.failed else
                              [r.Einf[u] for u in "LHF"] + [r.E2[u] for u in "LHF"]
                              + [r.EJ, "ok"]) for r in rows))
-    (outdir / "convergence.txt").write_text(_study_table(rows, config.parameters))
+    (outdir / "convergence.txt").write_text(_study_table(rows, ref, config.parameters))
     summary["convergence"] = [
         {"N": r.N, "M": r.M, "failed": r.failed, "cpu_seconds": r.cpu_seconds,
          "Einf_L": None if r.failed else r.Einf["L"]}

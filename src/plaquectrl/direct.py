@@ -127,9 +127,10 @@ class StateSolution:
     """Converged (or best-effort) fields of one fixed-point solve.
 
     ``C`` (3, N, M) stacks the space-basis x time-basis coefficient matrices
-    of L, H and F, and ``C_R`` (M,) the time coefficients of R, so R(1) is
-    ``C_R @ D0t[:, -1]``; ``v_field`` holds nodal velocity values per time node,
-    with the boundary trace and slope at rho = -1 alongside.
+    of L, H and F, and ``C_R`` (M,) the time coefficients of R; the last time
+    node is t = 1, so R(1) is the last of :meth:`radius_nodes`.  ``v_field``
+    holds nodal velocity values per time node, with the boundary trace and
+    slope at rho = -1 alongside.
     """
 
     C: np.ndarray
@@ -147,14 +148,13 @@ class StateSolution:
 
     def radius(self, t) -> np.ndarray:
         """Transformed free-boundary R at arbitrary times."""
-        return self.setup.eval_time_series(self.C_R, t)
+        return self.C_R @ self.setup.time_basis.eval(np.atleast_1d(t))
 
     def radius_nodes(self) -> np.ndarray:
         return self.C_R @ self.setup.D0t
 
     def final_radius(self) -> float:
-        # a contiguous column: BLAS sums a strided dot in another order (1 ulp apart)
-        return float(self.C_R @ self.setup.D0t[:, -1].copy())
+        return float(self.radius_nodes()[-1])
 
 
 def _apply_operator(g1, G2, setup, params, C):

@@ -73,7 +73,6 @@ class AdjointSolution:
     time_grid: np.ndarray
     blocks: np.ndarray  # (steps+1, 6, N) coefficients of L, H, F, P_L, P_H, P_F
     R: np.ndarray
-    P_R: np.ndarray
     phi: np.ndarray  # recovered bang-bang control samples on time_grid
     switching_times: list
     shooting: ShootingVector
@@ -298,7 +297,6 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
     yend, grid, traj, phi_samples, switching = sweep
     return AdjointSolution(
         time_grid=grid, blocks=traj[:, :6 * N].reshape(-1, 6, N),
-        R=traj[:, 6 * N], P_R=traj[:, 6 * N + 1],
-        phi=phi_samples, switching_times=switching,
+        R=traj[:, 6 * N], phi=phi_samples, switching_times=switching,
         shooting=ShootingVector(s), residual_norm=best_norm, newton_iterations=it,
         converged=converged, setup=setup)

@@ -79,12 +79,12 @@ def _step_sizes(problem: NlpProblem) -> np.ndarray:
     return h * scale
 
 
-def fd_gradient(problem: NlpProblem, x, fx=None) -> np.ndarray:
-    """Finite-difference gradient: central where the box allows, one-sided at
-    active bounds, zero where neither step fits.
+def fd_gradient(problem: NlpProblem, x, fx=None) -> tuple[np.ndarray, float]:
+    """Finite-difference gradient and f(x): central where the box allows,
+    one-sided at active bounds, zero where neither step fits.
 
-    All probes go to the oracle in one call, together with x itself (first)
-    unless its value ``fx`` is given.
+    All probes go to the oracle in one call, together with x itself unless
+    its value ``fx`` is given.
     """
     x = np.asarray(x, dtype=float)
     steps = _step_sizes(problem)
@@ -94,6 +94,7 @@ def fd_gradient(problem: NlpProblem, x, fx=None) -> np.ndarray:
     probes = np.concatenate([x + e[up], x - e[dn]])
     if fx is None:
         fx, *values = problem.objective(np.vstack([x, probes]))
+        fx = float(fx)
     else:
         values = problem.objective(probes)
     f_up = np.full(problem.dimension, fx)
@@ -101,7 +102,7 @@ def fd_gradient(problem: NlpProblem, x, fx=None) -> np.ndarray:
     f_up[up], f_dn[dn] = np.split(np.asarray(values, dtype=float), [np.sum(up)])
     width = np.where(up, steps, 0.0) + np.where(dn, steps, 0.0)
     return np.divide(f_up - f_dn, width, out=np.zeros(problem.dimension),
-                     where=width > 0.0)
+                     where=width > 0.0), fx
 
 
 def qp_subproblem(H, g, lower, upper) -> np.ndarray:
@@ -181,15 +182,14 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
     """
     opts = problem.options
     calls = points = 0
-    last = None  # values of the latest oracle call
 
     def oracle(X):
-        nonlocal calls, points, last
-        last = np.asarray(problem.objective(X), dtype=float)
-        if last.shape != (len(X),):
+        nonlocal calls, points
+        values = np.asarray(problem.objective(X), dtype=float)
+        if values.shape != (len(X),):
             raise ValueError("objective must map (k, dimension) points to k values")
         calls, points = calls + 1, points + len(X)
-        return last
+        return values
 
     def stationary(x, g):  # a Python bool, as ``converged`` goes into JSON
         pg = x - np.clip(x - g, problem.lower, problem.upper)
@@ -197,8 +197,7 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
 
     counted = replace(problem, objective=oracle)
     x = np.clip(np.asarray(x0, dtype=float), problem.lower, problem.upper)
-    g = fd_gradient(counted, x)  # x goes first in the call with its probes
-    f = float(last[0])
+    g, f = fd_gradient(counted, x)
     trace = [(x.copy(), f)]
     B = np.eye(problem.dimension)
     message = "iteration cap reached"
@@ -226,7 +225,7 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
         s = xt - x
         x, f = xt, ft
         trace.append((x.copy(), f))
-        g_new = fd_gradient(counted, x, f)
+        g_new, _ = fd_gradient(counted, x, f)
         B = _bfgs_update(B, s, g_new - g)
         g = g_new
     if converged := stationary(x, g):

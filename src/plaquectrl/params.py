@@ -54,14 +54,10 @@ class ModelParameters:
         if self.Kbound < 0:
             raise ValueError("Kbound must be nonnegative")
 
-    def with_overrides(self, **kwargs) -> "ModelParameters":
-        """A copy with the given fields replaced (re-validates)."""
-        return replace(self, **kwargs)
-
     def decoupled(self) -> "ModelParameters":
         """The decoupled test limit: all growth/reaction rates switched off.
 
         Note r2 = 0 is included: with r2 > 0 the transformed H field carries
         the source -r2*H0 and is not identically zero.
         """
-        return self.with_overrides(k1=0.0, r1=0.0, r2=0.0, lam=0.0, mu1=0.0, mu2=0.0)
+        return replace(self, k1=0.0, r1=0.0, r2=0.0, lam=0.0, mu1=0.0, mu2=0.0)

@@ -114,7 +114,7 @@ class CollocationSetup:
     space_basis: PolynomialBasis
     time_basis: PolynomialBasis
     rho: np.ndarray  # (N,) Gauss nodes
-    t: np.ndarray  # (M,) Radau nodes, t[-1] == 1, so D0t[:, -1] is the time basis at 1
+    t: np.ndarray  # (M,) Radau nodes, t[-1] == 1: the last column of D0t is at t = 1
     D0r: np.ndarray
     D1r: np.ndarray
     D2r: np.ndarray
@@ -156,11 +156,6 @@ class CollocationSetup:
         Pt = self.time_basis.eval(np.atleast_1d(t))  # (M, nt)
         return Pr.T @ coeffs @ Pt
 
-    def eval_time_series(self, coeffs: np.ndarray, t) -> np.ndarray:
-        """Synthesize a time-coefficient vector (M,) at arbitrary times."""
-        Pt = self.time_basis.eval(np.atleast_1d(t))
-        return coeffs @ Pt
-
     def solve_space_values(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of the space basis interpolating nodal values."""
         return self.D0rT_inv @ values
@@ -169,8 +164,6 @@ class CollocationSetup:
 def build_setup(N: int, M: int) -> CollocationSetup:
     """Nodes, bases, the five differentiation matrices and every factor the
     solvers use, built once for the grid."""
-    if N < 1 or M < 1:
-        raise ValueError("N and M must be at least 1")
     space, time = build_bases(N, M)
     rho = legendre_gauss_nodes(N - 1)
     t = legendre_gauss_radau_nodes(M - 1)

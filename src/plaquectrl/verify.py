@@ -12,7 +12,7 @@ number from it is reported.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -37,8 +37,6 @@ class ErrorReport:
 
     N: int
     M: int
-    Ne: int
-    Me: int
     Einf: dict = dc_field(default_factory=dict)
     E2: dict = dc_field(default_factory=dict)
     EJ: float = np.nan
@@ -70,7 +68,7 @@ def convergence_study(params: ModelParameters, grid_list,
     ref_J = 1.0 - ref_state.final_radius() - params.eps
     rows = []
     for (N, M) in grid_list:
-        row = ErrorReport(N=N, M=M, Ne=Ne, Me=Me)
+        row = ErrorReport(N=N, M=M)
         t0 = time.perf_counter()
         try:
             direct.require_converged(ref_state, f"reference {Ne}x{Me}")
@@ -80,7 +78,7 @@ def convergence_study(params: ModelParameters, grid_list,
                                              tol=fp_tol, max_iter=fp_max_iter)
             direct.require_converged(state, f"{N}x{M}")
             for which, C, C_ref in zip("LHF", state.C, ref_state.C):
-                a = setup.eval_field(C, setup.rho, setup.t)
+                a = setup.field_values(C)
                 b = ref_setup.eval_field(C_ref, setup.rho, setup.t)
                 row.Einf[which] = err_inf(a, b)
                 row.E2[which] = err_l2(a, b)
@@ -141,7 +139,7 @@ def control_effect_sweep(pairs, params: ModelParameters, setup,
         row = {"L0": L0, "H0": H0, "t": (t_grid + 1.0) * params.T / 2.0,
                "failed": False, "message": ""}
         try:
-            p = params.with_overrides(L0=L0, H0=H0)
+            p = replace(params, L0=L0, H0=H0)
             zero = direct.ControlVector(np.zeros(setup.M), p.Kbound)
             st0 = direct.fixed_point_solve(zero, setup, p, tol=fp_tol,
                                            max_iter=fp_max_iter)

@@ -19,6 +19,7 @@ test first shows that the property can hold:
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def test_criterion_7_control_effect():
                                        fp_max_iter=400)
     never_worse = all((not r["failed"]) and _terminal_gap(r) >= -1e-12
                       for r in rows)
-    probes = [_bang_probes(P.with_overrides(L0=L0, H0=H0), s)
+    probes = [_bang_probes(replace(P, L0=L0, H0=H0), s)
               for L0, H0 in verify.DEFAULT_SWEEP_PAIRS]
     zero_optimal = all(np.all(d >= -1e-12) and np.any(d > 0.0)
                        for d in probes)

@@ -1,8 +1,9 @@
 """The benchmark's contract with the program.
 
 ``perfbench/run.py --trace 1`` replaces public functions of every solver
-layer by traced wrappers.  A function it names that was deleted or renamed
-fails here instead of crashing a traced benchmark run.  One operation of
+layer by traced wrappers, and every run records its environment through
+the program.  A function either names that was deleted or renamed fails
+here instead of crashing a benchmark run.  One operation of
 each workload (shoot-8x8, sweep-8x8, and fixedpoint-32x32, which runs the
 matrix-free GMRES path) also runs through the benchmark's own call and
 check, so a change that moves the pinned references fails here too; every
@@ -11,6 +12,7 @@ its starting guesses.  Nothing under ``perfbench/`` is written.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -34,6 +36,14 @@ def _load(monkeypatch, name):
 
 def _load_run(monkeypatch):
     return _load(monkeypatch, "run")
+
+
+def test_environment_record_builds(monkeypatch):
+    before = sorted(PERFBENCH.rglob("*"))
+    env = _load_run(monkeypatch).environment(1)
+    assert env["seed"] == 1
+    json.dumps(env)  # written into every run's JSON
+    assert sorted(PERFBENCH.rglob("*")) == before
 
 
 def test_every_traced_function_can_be_installed(monkeypatch):

@@ -38,6 +38,18 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="section"):
             cli.load_config(str(f))
 
+    def test_percent_is_literal(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text(f"[run]\noutput_dir = {tmp_path}/o%d\n")
+        assert cli.load_config(str(f)).run["output_dir"] == f"{tmp_path}/o%d"
+
+    def test_default_section_rejected(self, tmp_path, capsys):
+        f = tmp_path / "run.cfg"
+        f.write_text("[DEFAULT]\nL0 = 0.5\n")
+        assert cli.main(["solve-direct", "--config", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "unknown config section [DEFAULT]" in err
+
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("[grid]\nQ = 3\n")

@@ -1,6 +1,7 @@
 """Fixed-point collocation solver and direct optimization."""
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ class TestSolveDirect:
     def test_optimal_zero_control_reads_its_own_objective(self):
         # x0 = 0 is solved in one batch with its probes; control_effect_sweep
         # compares that J with a single solve of the zero control strictly.
-        p = P.with_overrides(L0=0.01472650807414623, H0=0.005215785112430533)
+        p = replace(P, L0=0.01472650807414623, H0=0.005215785112430533)
         s = build_setup(8, 8)
         control, _, value, _ = direct.solve_direct(s, p)
         assert np.all(control.segments == 0.0)
@@ -361,6 +362,17 @@ class TestBatch:
         for st in (full, ramp):
             assert st.iterations == late
             assert st.converged == (late < max_iter)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_final_radius_is_the_last_nodal_radius(self, n):
+        # one path for R(1): J, the manifest and the last row of
+        # direct_radius.csv all read the same bits
+        K, setup = P.Kbound, build_setup(n, n)
+        segments = _bang_segments(n, K) + [K * np.eye(n)[-1], np.full(n, 0.5 * K)]
+        batch = direct.fixed_point_batch(
+            np.stack([_nodal(x, setup, P) for x in segments]), setup, P)
+        assert len(batch) == 7
+        assert [st.final_radius() for st in batch] == [st.radius_nodes()[-1] for st in batch]
 
     def test_matrix_free_batch(self):
         s = build_setup(16, 16)

@@ -1,5 +1,7 @@
 """Shooting solver for the coupled state/adjoint system."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -235,7 +237,7 @@ class TestSolveIndirect:
         for max_iter in (0, indirect.SHOOT_MAX_ITER):
             steps.clear()
             with np.errstate(all="ignore"), pytest.raises(indirect.IntegrationError):
-                indirect.solve_indirect(build_setup(4, 4), P.with_overrides(eps=0.999),
+                indirect.solve_indirect(build_setup(4, 4), replace(P, eps=0.999),
                                         max_iter=max_iter, n_steps=50)
             assert steps == [50, 100]
 

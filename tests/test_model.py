@@ -1,5 +1,7 @@
 """Transformed model: the frame, coefficients, sources, velocity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -43,8 +45,10 @@ class TestParameters:
         assert d.K1 == P.K1  # saturations untouched
 
     def test_with_overrides(self):
-        q = P.with_overrides(L0=0.01, H0=0.004)
+        q = replace(P, L0=0.01, H0=0.004)
         assert q.L0 == 0.01 and q.H0 == 0.004 and q.k1 == P.k1
+        with pytest.raises(ValueError, match="L0"):  # replace re-validates
+            replace(P, L0=-0.01)
 
 
 class TestExponents:
@@ -55,7 +59,7 @@ class TestExponents:
         assert _frame(-1.0, 0.2, v=0.7).sz == 0.0
 
     def test_sl_substitution_value(self):
-        p = P.with_overrides(alpha=1.0, eps=0.01)
+        p = replace(P, alpha=1.0, eps=0.01)
         assert np.isclose(_frame(-1.0, 0.0, p=p).s[0], -0.495, atol=1e-15)
 
     def test_sf_uses_beta(self):
@@ -65,13 +69,13 @@ class TestExponents:
 
 class TestCoefficients:
     def test_g11_g31_values(self):
-        p = P.with_overrides(eps=0.0)
+        p = replace(P, eps=0.0)
         (g11, _), (g31, _) = model.coeff(_frame(0.0, 0.0, p=p), 0.0, 0.0)
         assert g11 == 4.0
         assert np.isclose(g31, 4 * 8.64e-7)
 
     def test_g12_substitution_value(self):
-        p = P.with_overrides(eps=0.0, alpha=1.0)
+        p = replace(P, eps=0.0, alpha=1.0)
         (_, g12), _ = model.coeff(_frame(0.0, 0.0, p=p), 0.0, 0.0)
         assert np.isclose(g12, -6.0)
 
@@ -93,7 +97,7 @@ class TestCoefficients:
 
 class TestRhs:
     def test_fv_vanishes_without_production_or_death(self):
-        p = P.with_overrides(lam=0.0, mu1=0.0, mu2=0.0)
+        p = replace(P, lam=0.0, mu1=0.0, mu2=0.0)
         out = model.fv(_frame(0.3, 0.2, np.array([0.1, 0.2, 0.3]), p))
         assert out == 0.0
 
@@ -202,14 +206,14 @@ class TestVelocitySolve:
                                     self.setup)
 
     def test_zero_without_sources(self):
-        p = P.with_overrides(lam=0.0, mu1=0.0, mu2=0.0)
+        p = replace(P, lam=0.0, mu1=0.0, mu2=0.0)
         v, vi, dvi, _ = self._solve(0.0, np.zeros((3, 8)), p)
         assert np.max(np.abs(v)) < 1e-14 and vi == 0.0
 
     def test_constant_source_gives_linear_velocity(self):
         # with zero fields the source is rho-independent only through the
         # exponents; at alpha=beta=0 it is exactly constant
-        p = P.with_overrides(alpha=0.0, beta=0.0)
+        p = replace(P, alpha=0.0, beta=0.0)
         v, vi, dvi, _ = self._solve(0.0, np.zeros((3, 8)), p)
         c = model.fv(_frame(0.0, 0.0, p=p))
         assert np.max(np.abs(v - c * (self.setup.rho - 1.0))) < 1e-10
@@ -217,7 +221,7 @@ class TestVelocitySolve:
 
     def test_death_only_substitution(self):
         # F fixed so that the physical foam-cell density equals M0
-        p = P.with_overrides(lam=0.0, mu1=0.0, alpha=0.0, beta=0.0)
+        p = replace(P, lam=0.0, mu1=0.0, alpha=0.0, beta=0.0)
         z = np.zeros(8)
         F = np.full(8, p.M0)  # exponents vanish at alpha=beta=0
         v, vi, dvi, _ = self._solve(0.0, np.stack([z, z, F]), p)
@@ -239,7 +243,7 @@ class TestVelocitySolve:
         # beta = 0 and v = F = 0 make every exponent vanish: dP_v/drho = dF P_F,
         # so dF = 1 and P_F = c give the line through (-1, 0), P_v = c (rho + 1)
         c = 0.37
-        fr = model.Frame(model.Points(self.setup.rho, P.with_overrides(beta=0.0)), 0.1,
+        fr = model.Frame(model.Points(self.setup.rho, replace(P, beta=0.0)), 0.1,
                          np.zeros((3, 8)))
         fr.add_adjoint(z)
         Pv = model.adjoint_velocity_solve(fr, np.stack([z, z, np.full(8, c)]),

@@ -24,16 +24,16 @@ def _problem(f, lower, upper, **opts):
 class TestFdGradient:
     def test_quadratic(self):
         p = _problem(lambda x: float(x[0] ** 2), [0.0], [1.0])
-        g = fd_gradient(p, np.array([0.5]))
+        g, _ = fd_gradient(p, np.array([0.5]))
         assert abs(g[0] - 1.0) < 1e-8
 
     def test_constant(self):
         p = _problem(lambda x: 3.0, [0.0, 0.0], [1.0, 1.0])
-        assert np.all(fd_gradient(p, np.array([0.2, 0.9])) == 0.0)
+        assert np.all(fd_gradient(p, np.array([0.2, 0.9]))[0] == 0.0)
 
     def test_one_sided_at_upper_bound(self):
         p = _problem(lambda x: float(np.sum(x)), [0.0, 0.0], [1.0, 1.0])
-        g = fd_gradient(p, np.array([1.0, 1.0]))
+        g, _ = fd_gradient(p, np.array([1.0, 1.0]))
         assert np.allclose(g, 1.0, atol=1e-6)
 
     def test_matches_analytic_on_quadratic_relative(self):
@@ -41,7 +41,7 @@ class TestFdGradient:
         f = lambda x: float(0.5 * x @ A @ x)
         p = _problem(f, [-2.0] * 3, [2.0] * 3)
         x = np.array([0.3, -0.7, 1.1])
-        assert np.allclose(fd_gradient(p, x), A @ x, rtol=1e-6, atol=1e-9)
+        assert np.allclose(fd_gradient(p, x)[0], A @ x, rtol=1e-6, atol=1e-9)
 
     def test_one_oracle_call_with_x_first_unless_its_value_is_given(self):
         calls = []
@@ -53,12 +53,16 @@ class TestFdGradient:
         p = NlpProblem(dimension=2, lower=np.zeros(2), upper=np.ones(2),
                        objective=f)
         x = np.array([0.5, 1.0])  # central in x0, one-sided in x1
-        g = fd_gradient(p, x)
+        g, fx = fd_gradient(p, x)
         assert len(calls) == 1 and len(calls[0]) == 4
         assert np.array_equal(calls[0][0], x)
+        assert fx == 1.25  # f(x), read from the same call
         assert np.allclose(g, [1.0, 1.0], atol=1e-8)
-        assert np.array_equal(fd_gradient(p, x, 1.25), g)
+        g_given, fx_given = fd_gradient(p, x, 1.25)
+        assert np.array_equal(g_given, g) and fx_given == 1.25
         assert len(calls) == 2 and len(calls[1]) == 3
+        assert not any(np.array_equal(row, x) for row in calls[1])
+        assert fd_gradient(p, x, 0.125)[1] == 0.125  # a given value is never recomputed
 
     def test_invariants_validated(self):
         with pytest.raises(ValueError):
@@ -188,6 +192,22 @@ class TestOracleCalls:
         assert len(gradients) + len(searches) == len(calls)
         assert len(searches) >= len(r.trace) - 1
         assert np.array_equal(calls[0][0], r.trace[0][0])
+
+    # (iterations, evaluations, oracle_calls) on the three problems of
+    # acceptance criterion 8, as first recorded with f(x0) read from the first
+    # gradient's oracle call.
+    @pytest.mark.parametrize("f, upper, x0, max_iter, counts", [
+        (lambda X: (X[:, 0] - 0.3) ** 2, [1.0], [0.9], 100, (4, 11, 7)),
+        (lambda X: (X[:, 0] - 2.0) ** 2, [1.0], [0.1], 100, (2, 5, 3)),
+        (lambda X: (1 - X[:, 0]) ** 2 + 100 * (X[:, 1] - X[:, 0] ** 2) ** 2,
+         [2.0, 2.0], [0.0, 0.0], 200, (23, 124, 57)),
+    ], ids=["interior", "bound", "rosenbrock"])
+    def test_criterion_8_counts(self, f, upper, x0, max_iter, counts):
+        p = NlpProblem(dimension=len(x0), lower=np.zeros(len(x0)), upper=np.array(upper),
+                       objective=f, options=NlpOptions(max_iter=max_iter))
+        r = sqp_minimize(p, np.array(x0))
+        assert r.converged
+        assert (r.iterations, r.evaluations, r.oracle_calls) == counts
 
     def test_pointwise_objective_rejected(self):
         p = NlpProblem(dimension=2, lower=np.zeros(2), upper=np.ones(2),

@@ -214,4 +214,4 @@ class TestSetup:
     def test_time_series_at_plus_one(self):
         s = build_setup(3, 4)
         c = np.array([1.0, -2.0, 0.5, 3.0])
-        assert np.isclose(s.eval_time_series(c, 1.0)[0], float(c @ s.D0t[:, -1]))
+        assert np.isclose(c @ s.time_basis.eval(1.0), c @ s.D0t[:, -1])
