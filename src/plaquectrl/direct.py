@@ -30,12 +30,13 @@ equation solved by diagonalizing its space side, with each member's
 preconditioners reused from pass to pass (:func:`_solve_matrix_free`).
 Both paths run on numpy alone.  Whole fixed-point solves (default
 parameters, zero control, 2-vCPU VM, OpenBLAS threads at their default;
-fastest of many) take, dense against GMRES: 0.011 s against 0.040 s at
-9 x 9 (81 unknowns), 0.013 s against 0.043 s at 11 x 9 (99), 0.017 s
-against 0.041 s at 10 x 10 (100), 0.077 s against 0.055 s at 16 x 16 and
-1.8 s against 0.11 s at 32 x 32.  Dense wins up to about 14 x 14; moving
-the cut-off would change the rounding of every grid in between.  Both
-paths take the same fixed-point iterations and agree on J to 1e-15.
+fastest of many) take, dense against GMRES: 0.011 s against 0.032 s at
+9 x 9 (81 unknowns), 0.014 s against 0.033 s at 11 x 9 (99), 0.015 s
+against 0.032 s at 10 x 10 (100), 0.077 s against 0.035 s at 16 x 16 and
+1.8 s against 0.090 s at 32 x 32.  Dense wins up to about 12 x 12 and
+breaks even at 13 x 13; moving the cut-off would change the rounding of
+every grid in between.  Both paths take the same fixed-point iterations
+and agree on J to 1e-15.
 """
 
 from __future__ import annotations
@@ -163,7 +164,10 @@ def _apply_operator(g1, G2, setup, params, C):
     With c = 2/T it maps C to c D0r' C D1t + G2 o (D1r' C D0t) - (D2r' C D0t) diag(g1).
     """
     time, drift, diffusion = setup.operator_terms(C)
-    return (2.0 / params.T) * time + G2 * drift - diffusion * g1
+    time *= 2.0 / params.T
+    time += np.multiply(G2, drift, out=drift)
+    time -= np.multiply(diffusion, g1, out=diffusion)
+    return time
 
 
 def assemble_operator(g1, G2, setup: CollocationSetup,
@@ -307,45 +311,62 @@ def _gmres(apply, precondition, b, name, x0, limit=None):
     The Krylov basis of A M^-1 is orthogonalized by classical Gram-Schmidt
     applied twice; each cycle updates x itself and recomputes the true
     residual b - A x, so rounding in M^-1 does not set the attainable
-    residual.  Returns x and the iterations taken.  Raises
+    residual.  The Hessenberg bookkeeping runs on Python floats: each new
+    column, its Givens rotations and the least-squares right-hand side, with
+    numpy only for the triangular solve that ends a cycle.  Each rotation is
+    built from ``np.hypot``, as ``math.hypot`` rounds differently in the
+    last bit, so x is bit for bit what the same steps give on numpy arrays.
+    Returns x and the iterations taken.  Raises
     :class:`NonConvergenceError` after ``limit`` iterations
-    (``GMRES_MAX_ITER`` if not given) or on a non-finite residual.
+    (``GMRES_MAX_ITER`` if not given) or on a non-finite residual, and
+    :class:`SingularOperatorError` when a rotation meets a zero column,
+    as on a singular operator.
     """
     limit = GMRES_MAX_ITER if limit is None else limit
+    bnorm = np.linalg.norm(b)
     x, r = x0, b - apply(x0)
-    if not np.linalg.norm(r) < np.linalg.norm(b):
+    if not np.linalg.norm(r) < bnorm:
         x, r = np.zeros_like(b), b
-    target = GMRES_RTOL * np.linalg.norm(b)
+    target = GMRES_RTOL * bnorm
     done = 0
     while not (beta := np.linalg.norm(r)) <= target:
         if done >= limit or not np.isfinite(beta):
             raise NonConvergenceError(
                 f"GMRES on the {name} collocation system stopped at relative "
-                f"residual {beta / np.linalg.norm(b):.3e} after {done} iterations")
+                f"residual {beta / bnorm:.3e} after {done} iterations")
         m = min(GMRES_RESTART, limit - done)
         V = np.empty((m + 1, b.size))  # each row written before it is read
-        H = np.zeros((m + 1, m))
-        rot = np.zeros((m, 2))  # Givens (cos, sin) reducing H to triangular
-        g = np.zeros(m + 1)
-        V[0], g[0] = r / beta, beta
+        np.divide(r, beta, out=V[0])
+        # Triangular columns, Givens (cos, sin) reducing them, least-squares rhs
+        columns, rot, g = [], [], [float(beta)]
         for k in range(m):
             w = apply(precondition(V[k]))
+            basis, h = V[:k + 1], 0.0
             for _ in range(2):
-                h = V[:k + 1] @ w
-                w -= h @ V[:k + 1]
-                H[:k + 1, k] += h
-            H[k + 1, k] = hk = np.linalg.norm(w)
-            for i, (cs, sn) in enumerate(rot[:k]):
-                H[i, k], H[i + 1, k] = (cs * H[i, k] + sn * H[i + 1, k],
-                                        cs * H[i + 1, k] - sn * H[i, k])
-            rot[k] = H[k:k + 2, k] / np.hypot(H[k, k], H[k + 1, k])
-            H[k, k], H[k + 1, k] = np.hypot(H[k, k], H[k + 1, k]), 0.0
-            g[k], g[k + 1] = rot[k, 0] * g[k], -rot[k, 1] * g[k]
+                dh = basis @ w
+                w -= dh @ basis
+                h = h + dh
+            col, hk = h.tolist(), float(np.linalg.norm(w))
+            for i, (cs, sn) in enumerate(rot):
+                col[i], col[i + 1] = (cs * col[i] + sn * col[i + 1],
+                                      cs * col[i + 1] - sn * col[i])
+            d = float(np.hypot(col[k], hk))
+            if d == 0.0:
+                raise SingularOperatorError(name, np.inf)
+            cs, sn = col[k] / d, hk / d
+            rot.append((cs, sn))
+            col[k] = d
+            columns.append(col)
+            g[k], g_next = cs * g[k], -sn * g[k]
+            g.append(g_next)
             done += 1
-            if abs(g[k + 1]) <= target or hk == 0.0:
+            if abs(g_next) <= target or hk == 0.0:
                 break
-            V[k + 1] = w / hk
-        z = np.linalg.solve(H[:k + 1, :k + 1], g[:k + 1])
+            np.divide(w, hk, out=V[k + 1])
+        H = np.zeros((k + 1, k + 1))
+        for j, col in enumerate(columns):
+            H[:j + 1, j] = col
+        z = np.linalg.solve(H, g[:k + 1])
         x = x + precondition(z @ V[:k + 1])
         r = b - apply(x)
     return x, done

@@ -133,9 +133,10 @@ class CollocationSetup:
 
     def operator_terms(self, C: np.ndarray):
         """D0r' C D1t, D1r' C D0t and D2r' C D0t for a batch C (..., N, M): the
-        time, drift and diffusion terms of the space-time collocation operator."""
-        CD = C @ self.D0t
-        return self.D0r.T @ C @ self.D1t, self.D1r.T @ CD, self.D2r.T @ CD
+        time, drift and diffusion terms of the space-time collocation operator,
+        the last two as views of one product with [D1r | D2r]'."""
+        space = self.D012r[:, self.N:].T @ (C @ self.D0t)
+        return self.D0r.T @ C @ self.D1t, space[..., :self.N, :], space[..., self.N:, :]
 
     @cached_property
     def operator_matrices(self):

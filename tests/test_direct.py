@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from gmres_reference import gmres_reference
 
 from plaquectrl import cli, direct, indirect, kernels, model, verify
 from plaquectrl.nlp import NlpOptions, NlpProblem, sqp_minimize
@@ -449,6 +450,14 @@ class TestMatrixFree:
         assert direct.fixed_point_solve(_zero_control(16), s, P).converged
         assert "operator_matrices" not in vars(s)
 
+    def test_converges_at_64x64(self):
+        # The largest grid the suite solves, about 1 s: 25 passes, each system
+        # to GMRES_RTOL.  J is 0.95944402 at 16 x 16, 0.959444010 at 32 x 32
+        # and 0.9594440004 at 48 x 48.
+        st = direct.fixed_point_solve(_zero_control(64), build_setup(64, 64), P)
+        assert st.converged and st.iterations == 25
+        assert abs(_objective(st, P) - 0.9594440000714606) <= 1e-12
+
     def test_unconverged_gmres_raises(self, monkeypatch):
         s = build_setup(32, 32)
         S, LH, _ = _grids_after(_zero_control(32), s, P_SLOW, 2)
@@ -456,6 +465,15 @@ class TestMatrixFree:
         with pytest.raises(direct.NonConvergenceError,
                            match="GMRES on the L collocation system stopped"):
             direct._solve_matrix_free(*LH, s, P_SLOW, S[:2], "L")
+
+    @pytest.mark.parametrize("name", ["L", "F"])
+    def test_singular_operator_raises_a_named_error(self, name):
+        # Under the suite's error::RuntimeWarning filter: no division warning first
+        b = np.random.default_rng(3).standard_normal(64)
+        with pytest.raises(direct.SingularOperatorError,
+                           match=f"singular {name} collocation operator") as err:
+            direct._gmres(lambda x: 0 * x, lambda r: r, b, name, np.zeros_like(b))
+        assert (err.value.name, err.value.cond) == (name, np.inf)
 
     def test_non_finite_source_raises(self):
         s = build_setup(16, 16)
@@ -612,6 +630,76 @@ class TestWarmStart:
         assert warm_passes == cold_passes == 25
         assert abs(warm_J - cold_J) <= 1e-13
         assert warm_calls <= 0.9 * cold_calls
+
+
+def _both_gmres(system, x0, limit=None):
+    """direct._gmres and its reference on ``system``: (x, iterations) or the error."""
+    runs = []
+    for solver in (direct._gmres, gmres_reference):
+        try:
+            runs.append(solver(*system, "L", x0, limit))
+        except direct.NonConvergenceError as err:
+            runs.append(str(err))
+    return runs
+
+
+def _assert_bit_identical(new, ref):
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        assert np.array_equal(new[0], ref[0]) and new[1] == ref[1]
+
+
+class TestGmresBitIdentity:
+    """GMRES on Python floats against the numpy-array reference, bit for bit."""
+
+    @pytest.fixture(scope="class", params=[16, 32], ids=["16x16", "32x32"])
+    def systems(self, request):
+        # The L system of the fifth pass, and the preconditioner of the second
+        s = build_setup(request.param, request.param)
+        system, stale = _gmres_system(s, P, 4), _gmres_system(s, P, 1)
+        return system, (system[0], stale[1], system[2])
+
+    @pytest.fixture(scope="class")
+    def cold(self, systems):
+        new, ref = _both_gmres(systems[0], np.zeros_like(systems[0][2]))
+        _assert_bit_identical(new, ref)
+        return new
+
+    def test_cold_start(self, cold):
+        assert cold[1] > 5
+
+    def test_warm_start(self, systems, cold):
+        new, ref = _both_gmres(systems[0], (1.0 + 1e-6) * cold[0])
+        _assert_bit_identical(new, ref)
+        assert new[1] < cold[1]
+
+    def test_rejected_guess(self, systems, cold):
+        new, ref = _both_gmres(systems[0], -cold[0])
+        _assert_bit_identical(new, ref)
+        assert new[1] == cold[1]
+
+    def test_short_restarts(self, systems, cold, monkeypatch):
+        monkeypatch.setattr(direct, "GMRES_RESTART", 5)
+        for x0 in (np.zeros_like(cold[0]), (1.0 + 1e-6) * cold[0]):
+            new, ref = _both_gmres(systems[0], x0)
+            _assert_bit_identical(new, ref)
+
+    def test_reused_preconditioner_abandoned_at_its_limit(self, systems, cold):
+        x0 = np.zeros_like(cold[0])
+        limit = direct._gmres(*systems[1], "L", x0)[1] // 2
+        new, ref = _both_gmres(systems[1], x0, limit)
+        _assert_bit_identical(new, ref)
+        assert new.endswith(f"after {limit} iterations")
+
+    @pytest.mark.parametrize("params", [P, P_SLOW], ids=["default", "mu1=0.06"])
+    def test_whole_matrix_free_fixed_point(self, params, monkeypatch):
+        # Warm starts throughout, and two runs abandoned on a reused preconditioner
+        s, states = build_setup(16, 16), []
+        for solver in (direct._gmres, gmres_reference):
+            monkeypatch.setattr(direct, "_gmres", solver)
+            states.append(direct.fixed_point_solve(_zero_control(16), s, params))
+        _assert_same_state(*states, params)
 
 
 class TestIterationCap:
