@@ -14,20 +14,19 @@ the SQP driver in :mod:`plaquectrl.nlp` as an oracle over batches: each
 gradient's finite-difference probes are one batch, and :func:`solve_direct`
 solves each distinct nodal control once.
 
-The collocation operator is written once, as the time, drift and diffusion
+The collocation operator is written once: the time, drift and diffusion
 terms of a map on batches of coefficient matrices
-(:meth:`~plaquectrl.spectral.CollocationSetup.operator_terms`, combined by
-:func:`_apply_operator`), using only matrices that
-:func:`~plaquectrl.spectral.build_setup` built for the grid.  A system with
-at most ``DENSE_MAX_UNKNOWNS`` unknowns N*M is assembled from those terms
-applied to the identity, which the setup builds once on first use
-(:func:`assemble_operator`, one operator per batch member) into buffers that
+(:meth:`~plaquectrl.spectral.CollocationSetup.operator_terms`), combined
+with the grids by :func:`_combine`.  Up to ``DENSE_MAX_UNKNOWNS`` unknowns
+N*M, the system is that map applied to the identity
+(:func:`assemble_operator`, one operator per batch member) in buffers that
 :func:`fixed_point_batch` allocates once per call (per-pass temporaries
-would be mapped and faulted in afresh by the C allocator), and solved by one
-batched dense LU.  A larger system is never formed: GMRES applies the map,
-member by member, from the previous iterate, preconditioned by a Sylvester
-equation solved by diagonalizing its space side, with each member's
-preconditioners reused from pass to pass (:func:`_solve_matrix_free`).
+would be mapped and faulted in afresh by the C allocator), solved by one
+batched dense LU.  A larger system is never formed: GMRES applies the map
+(:func:`_apply_operator`) member by member from the previous iterate,
+preconditioned by a Sylvester equation solved by diagonalizing its space
+side, with each member's preconditioners reused from pass to pass
+(:func:`_solve_matrix_free`).
 Both paths run on numpy alone.  Whole fixed-point solves (default
 parameters, zero control, 2-vCPU VM, OpenBLAS threads at their default;
 fastest of many) take, dense against GMRES: 0.011 s against 0.032 s at
@@ -158,41 +157,43 @@ class StateSolution:
         return float(self.radius_nodes()[-1])
 
 
+def _combine(time, drift, diffusion, g1, G2, params, out, scratch):
+    """c time + G2 o drift - diffusion o g1 with c = 2/T, for the operator terms
+    time, drift and diffusion: in ``out``, with diffusion o g1 in ``scratch``."""
+    A = np.multiply(G2, drift, out=out)
+    A += (2.0 / params.T) * time
+    A -= np.multiply(diffusion, g1, out=scratch)
+    return A
+
+
 def _apply_operator(g1, G2, setup, params, C):
     """The collocation operator with diffusion g1 and drift G2 on a batch C (..., N, M).
 
     With c = 2/T it maps C to c D0r' C D1t + G2 o (D1r' C D0t) - (D2r' C D0t) diag(g1).
     """
     time, drift, diffusion = setup.operator_terms(C)
-    time *= 2.0 / params.T
-    time += np.multiply(G2, drift, out=drift)
-    time -= np.multiply(diffusion, g1, out=diffusion)
-    return time
+    return _combine(time, drift, diffusion, g1, G2, params, drift, diffusion)
 
 
 def assemble_operator(g1, G2, setup: CollocationSetup,
                       params: ModelParameters, out=None) -> np.ndarray:
     """Square (N*M) collocation operator with diffusion g1 (M,) and drift G2 (N, M).
 
-    (g1, G2) is one of the pairs returned by
-    :func:`kernels.eval_state_grids` at the frozen iterate: the L/H operator
-    or the F operator.  Rows/columns are flattened row-major over
-    (space index, time index).  With c = 2/T this is
-    c (D0r' x D1t') - g1 . (D2r' x D0t') + G2 . (D1r' x D0t'): the setup's
-    :attr:`~plaquectrl.spectral.CollocationSetup.operator_matrices`, the
-    terms of :func:`_apply_operator` applied to the identity, with G2 and g1
-    scaling their rows.  Grids of a batch of iterates, G2 (B, N, M) and
+    (g1, G2) is one of the pairs of :func:`kernels.eval_state_grids` at the
+    frozen iterate.  Rows/columns are flattened row-major over (space index,
+    time index); with c = 2/T the operator is c (D0r' x D1t') -
+    g1 . (D2r' x D0t') + G2 . (D1r' x D0t'), and column j is
+    :func:`_apply_operator` of unit coefficient matrix j: the same combine,
+    of the setup's :attr:`~plaquectrl.spectral.CollocationSetup.operator_matrices`
+    with g1 and G2 as flat rows.  Grids of a batch, G2 (B, N, M) and
     g1 (B, 1, M), give the B operators (B, n, n), written into the first of
     the buffers ``out`` = (operator, scratch), if given, and returned.
     """
-    time, drift, diffusion = setup.operator_matrices
-    rows = np.shape(G2)[:-2] + (setup.N * setup.M, 1)
-    A, scratch = (None, None) if out is None else out
-    A = np.multiply(np.reshape(G2, rows), drift, out=A)
-    A += (2.0 / params.T) * time
-    A -= np.multiply(np.broadcast_to(g1, np.shape(G2)).reshape(rows), diffusion,
-                     out=scratch)
-    return A
+    rows = np.shape(G2)[:-2] + (1, setup.N * setup.M)
+    AT, scratch = (None, None) if out is None else (b.swapaxes(-1, -2) for b in out)
+    AT = _combine(*setup.operator_matrices, np.broadcast_to(g1, np.shape(G2)).reshape(rows),
+                  np.reshape(G2, rows), params, AT, scratch)
+    return AT.swapaxes(-1, -2) if out is None else out[0]
 
 
 def _solve_fields(S, LH, F, setup, params, work, x0):
@@ -219,10 +220,12 @@ def _solve_fields(S, LH, F, setup, params, work, x0):
         A = assemble_operator(g1, G2, setup, params, out=work)
         try:
             sol = np.linalg.solve(A, S[k].reshape(*S[k].shape[:2], -1).transpose(1, 2, 0))
+            if not np.all(np.isfinite(sol)):
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            raise SingularOperatorError(name, float(np.max(np.linalg.cond(A)))) from None
-        if not np.all(np.isfinite(sol)):
-            raise SingularOperatorError(name, float(np.max(np.linalg.cond(A))))
+            if np.isfinite(S[k]).all() and np.isfinite(A).all():
+                raise SingularOperatorError(name, float(np.max(np.linalg.cond(A)))) from None
+            raise NonConvergenceError(f"{name} collocation system has non-finite input") from None
         X[k] = sol.transpose(2, 0, 1).reshape(S[k].shape)
     return X
 
@@ -279,24 +282,24 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, reuse=None
     N, M = setup.N, setup.M
     reuse = {} if reuse is None else reuse
     precondition, previous = reuse.get("precondition"), reuse.get("iterations", np.inf)
-    fresh = precondition is None
-    if fresh:
-        precondition = _preconditioner(g1, G2, setup, params)
 
     def apply(x):
         return _apply_operator(g1, G2, setup, params, x.reshape(N, M)).ravel()
 
     x0 = np.zeros_like(sources) if x0 is None else x0
-    X, count = np.empty_like(sources), 0
+    X, count, fresh = np.empty_like(sources), 0, False
     for k, (b, x) in enumerate(zip(sources, x0)):
-        try:
-            y, its = _gmres(apply, precondition, b.ravel(), name, x.ravel(),
-                            GMRES_MAX_ITER if fresh else min(2 * previous, GMRES_MAX_ITER))
-        except NonConvergenceError:
-            if fresh:
-                raise
-            precondition, fresh = _preconditioner(g1, G2, setup, params), True
-            y, its = _gmres(apply, precondition, b.ravel(), name, x.ravel(), GMRES_MAX_ITER)
+        while True:
+            if precondition is None:
+                precondition, fresh = _preconditioner(g1, G2, setup, params), True
+            try:
+                y, its = _gmres(apply, precondition, b.ravel(), name, x.ravel(),
+                                GMRES_MAX_ITER if fresh else min(2 * previous, GMRES_MAX_ITER))
+                break
+            except NonConvergenceError:
+                if fresh:
+                    raise
+                precondition = None
         X[k], count = y.reshape(N, M), max(count, its)
     reuse.update(precondition=None if count > previous else precondition, iterations=count)
     return X
@@ -425,8 +428,8 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     passes = np.zeros(B, dtype=int)  # pass each member converged at, 0 while moving
     history = [[] for _ in range(B)]
     # Dense buffers shared by L/H and F, each solved before the next is assembled;
-    # column-major like the setup's operator matrices, as C order makes assembly
-    # a third slower.  Matrix-free, each member's preconditioners by system.
+    # column-major: assembly writes each column contiguously, and in C order it is
+    # 1.7x slower (8 x 8, B = 7).  Matrix-free, each member's preconditioners by system.
     work = (np.empty((2, B, N * M, N * M)).swapaxes(2, 3)
             if N * M <= DENSE_MAX_UNKNOWNS else [{} for _ in range(B)])
 

@@ -210,21 +210,22 @@ def _initial_state(s: ShootingVector, setup: CollocationSetup) -> np.ndarray:
     return y0
 
 
-def _residual(sweep, setup: CollocationSetup) -> np.ndarray:
-    """Terminal nodal adjoints and boundary adjoint of a completed sweep."""
+def _sweep(s: ShootingVector, setup: CollocationSetup, params: ModelParameters,
+           n_steps: int):
+    """(terminal nodal adjoints and boundary adjoint, sweep) of ``s``, the sweep
+    being what :func:`_integrate_with_control` returns or raises."""
+    sweep = _integrate_with_control(_initial_state(s, setup), setup, params, n_steps)
     yend, N = sweep[0], setup.N
-    return np.append(yend[3 * N:6 * N].reshape(3, N) @ setup.D0r, yend[6 * N + 1])
+    return np.append(yend[3 * N:6 * N].reshape(3, N) @ setup.D0r, yend[6 * N + 1]), sweep
 
 
 def _shoot(s: ShootingVector, setup: CollocationSetup, params: ModelParameters,
            n_steps: int):
-    """(residual, sweep) of :func:`shooting_residual`; the sweep is the return
-    value of :func:`_integrate_with_control`, or None with the sentinel."""
+    """:func:`_sweep`, or the sentinel and None if it blows up or hits occlusion."""
     try:
-        sweep = _integrate_with_control(_initial_state(s, setup), setup, params, n_steps)
+        return _sweep(s, setup, params, n_steps)
     except (IntegrationError, model.OcclusionError):
         return np.full(3 * setup.N + 1, RESIDUAL_SENTINEL), None
-    return _residual(sweep, setup), sweep
 
 
 def shooting_residual(s: ShootingVector, setup: CollocationSetup,
@@ -258,9 +259,7 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
     res, sweep = _shoot(ShootingVector(s), setup, params, n_steps)
     if sweep is None:  # retry at the doubled step count, which raises its own error
         n_steps *= 2
-        sweep = _integrate_with_control(_initial_state(ShootingVector(s), setup), setup,
-                                        params, n_steps)
-        res = _residual(sweep, setup)
+        res, sweep = _sweep(ShootingVector(s), setup, params, n_steps)
     best_norm = float(np.max(np.abs(res)))
     it = 0
     converged = best_norm < tol
@@ -280,18 +279,16 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
         except np.linalg.LinAlgError:
             raise SingularJacobianError(np.where(col_norms < 1e-10)[0]) from None
         lam = 1.0
-        accepted = False
         for _ in range(MAX_DAMPING + 1):
             trial = s + lam * step
             rt, sweep_t = _shoot(ShootingVector(trial), setup, params, n_steps)
             norm_t = float(np.max(np.abs(rt)))
             if sweep_t is not None and norm_t < best_norm:
                 s, res, best_norm, sweep = trial, rt, norm_t, sweep_t
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
-            break
+        else:
+            break  # no damped step improved the residual
         converged = best_norm < tol
 
     yend, grid, traj, phi_samples, switching = sweep

@@ -106,11 +106,11 @@ class Frame:
 
     Raises :class:`OcclusionError` if R + eps >= 1.  Holds ``om`` =
     1 - (R + eps), 1/om and the exponents ``s`` = (sl, sl, sf) of L, H, F;
-    computes on first read 1/q, exp(s), the physical fields ``Xh`` =
-    exp(s) X + (L0, H0, 0) with the reciprocals ``iden`` of their guarded
-    saturation denominators.  :meth:`add_adjoint` adds their exp(-s)
-    counterparts.  X has one axis more than the points' rho.  A batch frame
-    has R of shape (B, 1, M) and X of shape (3, B, N, M): every array
+    computes on first read 1/q, the drifts' ``base`` -8/(q om), exp(s), the
+    fields ``Xh`` = exp(s) X + (L0, H0, 0) and the reciprocals ``iden`` of
+    their guarded saturation denominators.  :meth:`add_adjoint` adds their
+    exp(-s) counterparts.  X has one axis more than the points' rho.  A batch
+    frame has R of shape (B, 1, M) and X of shape (3, B, N, M): every array
     derived from them carries the batch axis third from last.
     """
 
@@ -125,6 +125,7 @@ class Frame:
         self.s = self.om * pts.s
 
     iq = cached_property(lambda self: 1.0 / (self.pts.opr + self.Rb * self.pts.omr))
+    base = cached_property(lambda self: (-8.0 * self.iom) * self.iq)
     es = cached_property(lambda self: np.exp(self.s))
     Xh = cached_property(lambda self: self.es * self.X + self.pts.X0)
     iden = cached_property(lambda self: 1.0 / _guard(
@@ -159,8 +160,7 @@ def coeff(fr: Frame, v_inner, v_local):
     do not depend on rho.  Every drift carries -8/(q om) and the
     moving-frame term v(-1) (rho + 1) / om.
     """
-    p, pts, iom = fr.params, fr.pts, fr.iom
-    base = (-8.0 * iom) * fr.iq
+    p, pts, iom, base = fr.params, fr.pts, fr.iom, fr.base
     drift = (v_inner * iom) * pts.opr
     influx = pts.a2 * iom
     g12 = base - drift + influx
@@ -177,8 +177,7 @@ def adjoint_drift(fr: Frame, v_inner, v, dv):
     carries the local F times the derivative dfv_dF of the velocity source
     with respect to it.
     """
-    p, pts, iom = fr.params, fr.pts, fr.iom
-    base = (-8.0 * iom) * fr.iq
+    p, pts, iom, base = fr.params, fr.pts, fr.iom, fr.base
     drift = (v_inner * iom) * pts.opr
     dfv_dF = fr.om / (2.0 * p.M0) * fr.es[2] * (p.mu1 - p.mu2 - p.lam * fr.LHr)
     g42 = base - drift - pts.a2 * iom

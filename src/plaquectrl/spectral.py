@@ -140,12 +140,12 @@ class CollocationSetup:
 
     @cached_property
     def operator_matrices(self):
-        """The three :meth:`operator_terms` as (N*M, N*M) matrices, rows and
-        columns flattened row-major over (space, time).  Built on first use:
-        only the dense solve needs them, and they hold 3 (N*M)^2 floats."""
+        """:meth:`operator_terms` of the N*M unit matrices, as (N*M, N*M) arrays
+        whose row j is the term of unit matrix j, flattened row-major.  Built
+        on first use: only the dense solve needs them; they hold 3 (N*M)^2 floats."""
         n = self.N * self.M
         unit = np.eye(n).reshape(n, self.N, self.M)
-        return tuple(T.reshape(n, n).T for T in self.operator_terms(unit))
+        return tuple(T.reshape(n, n) for T in self.operator_terms(unit))
 
     def field_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal values (..., N, M) of fields with coefficient matrices (..., N, M)."""

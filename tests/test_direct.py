@@ -90,12 +90,15 @@ class TestOperator:
 
     def test_out_buffers_receive_the_operator(self):
         rng = np.random.default_rng(3)
-        s = build_setup(8, 8)
-        g1, G2 = rng.uniform(1.0, 5.0, (3, 1, 8)), rng.normal(size=(3, 8, 8))
-        buf, scratch = np.full((2, 3, 64, 64), np.nan)
-        A = direct.assemble_operator(g1, G2, s, P, out=(buf, scratch))
-        assert A is buf
-        assert np.array_equal(A, direct.assemble_operator(g1, G2, s, P))
+        for N, M in [(8, 8), (3, 5)]:
+            s = build_setup(N, M)
+            g1, G2 = rng.uniform(1.0, 5.0, (3, 1, M)), rng.normal(size=(3, N, M))
+            buf, scratch = np.full((2, 3, N * M, N * M), np.nan)
+            A = direct.assemble_operator(g1, G2, s, P, out=(buf, scratch))
+            assert A is buf
+            assert np.array_equal(A, direct.assemble_operator(g1, G2, s, P))
+            _assert_columns_are_the_map(A, g1, G2, s)
+            _assert_columns_are_the_map(direct.assemble_operator(g1, G2, s, P), g1, G2, s)
 
     def test_matches_kronecker_formula(self):
         rng = np.random.default_rng(5)
@@ -110,6 +113,18 @@ class TestOperator:
                             + G.reshape(-1, 1) * np.kron(s.D1r.T, s.D0t.T))
                 A = direct.assemble_operator(g, G, s, P)
                 assert np.max(np.abs(A - expected)) <= 1e-13 * np.max(np.abs(expected))
+                _assert_columns_are_the_map(A, g, G, s)
+                buf = np.empty((2, N * M, N * M)).swapaxes(1, 2)
+                _assert_columns_are_the_map(direct.assemble_operator(g, G, s, P, out=buf),
+                                            g, G, s)
+
+
+def _assert_columns_are_the_map(A, g1, G2, s):
+    """Column j of each operator in A is the matrix-free map on unit matrix j, bit for bit."""
+    n = s.N * s.M
+    for j, unit in enumerate(np.eye(n).reshape(n, s.N, s.M)):
+        column = direct._apply_operator(g1, G2, s, P, np.broadcast_to(unit, G2.shape))
+        assert np.array_equal(A[..., j], column.reshape(A.shape[:-1]))
 
 
 class TestFixedPoint:
@@ -482,6 +497,24 @@ class TestMatrixFree:
         sources[1, 3, 4] = np.nan
         with pytest.raises(direct.NonConvergenceError, match="residual nan"):
             direct._solve_matrix_free(*LH, s, P, sources, "L")
+
+    def test_non_finite_dense_source_raises(self, monkeypatch):
+        # A NaN source of the batched dense solve was reported as a singular
+        # operator of cond ~ 6e2; a finite singular operator still is one.
+        s = build_setup(8, 8)
+        S, (g1, G2), (g3, G32) = _grids_after(_zero_control(8), s, P, 2)
+        LH, F = (g1[None, None], G2[None]), (g3[None, None], G32[None])
+        work = np.empty((2, 1, 64, 64)).swapaxes(2, 3)
+        sources = S[:, None].copy()
+        sources[1, 0, 3, 4] = np.nan
+        with pytest.raises(direct.NonConvergenceError,
+                           match="L collocation system has non-finite input"):
+            direct._solve_fields(sources, LH, F, s, P, work, None)
+        monkeypatch.setattr(direct, "assemble_operator",
+                            lambda *args, out: np.zeros_like(out[0]))
+        with pytest.raises(direct.SingularOperatorError,
+                           match="singular L collocation operator"):
+            direct._solve_fields(S[:, None], LH, F, s, P, work, None)
 
 
 class _Counted:
