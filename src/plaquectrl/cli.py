@@ -181,8 +181,11 @@ def _nlp_options(solver: dict) -> NlpOptions:
                       max_iter=solver["sqp_max_iter"])
 
 
-def _direct(config: RunConfig, outdir: Path, summary: dict):
-    setup = build_setup(config.grid["N"], config.grid["M"])
+def _setup(config: RunConfig):
+    return build_setup(config.grid["N"], config.grid["M"])
+
+
+def _direct(config: RunConfig, setup, outdir: Path, summary: dict):
     sv, eps = config.solver, config.parameters.eps
     best, state, value, result = direct.solve_direct(
         setup, config.parameters, _nlp_options(sv),
@@ -205,8 +208,7 @@ def _direct(config: RunConfig, outdir: Path, summary: dict):
     return 0 if (state.converged and result.converged) else 1, best, state
 
 
-def _indirect(config: RunConfig, outdir: Path, summary: dict):
-    setup = build_setup(config.grid["N"], config.grid["M"])
+def _indirect(config: RunConfig, setup, outdir: Path, summary: dict):
     sv, eps = config.solver, config.parameters.eps
     sol = indirect.solve_indirect(setup, config.parameters, tol=sv["shoot_tol"],
                                   max_iter=sv["shoot_max_iter"],
@@ -226,8 +228,9 @@ def _indirect(config: RunConfig, outdir: Path, summary: dict):
 
 
 def _run_compare(config: RunConfig, outdir: Path, summary: dict) -> int:
-    code_d, best, state = _direct(config, outdir, summary)
-    code_i, sol = _indirect(config, outdir, summary)
+    setup = _setup(config)
+    code_d, best, state = _direct(config, setup, outdir, summary)
+    code_i, sol = _indirect(config, setup, outdir, summary)
     diff = verify.cross_method_diff(state, sol, best)
     _write_csv(outdir / "cross_method.csv", "quantity,sup_norm_difference",
                ((key, diff[key]) for key in ("L", "H", "F", "R", "control",
@@ -276,9 +279,8 @@ def _run_convergence(config: RunConfig, outdir: Path, summary: dict) -> int:
 
 def _run_sweep(config: RunConfig, outdir: Path, summary: dict) -> int:
     pairs = _parse_list("sweep_pairs", config.run["sweep_pairs"])
-    setup = build_setup(config.grid["N"], config.grid["M"])
     results = verify.control_effect_sweep(
-        pairs, config.parameters, setup, fp_tol=config.solver["fp_tol"],
+        pairs, config.parameters, _setup(config), fp_tol=config.solver["fp_tol"],
         fp_max_iter=config.solver["fp_max_iter"],
         nlp_options=_nlp_options(config.solver))
     rows = []
@@ -301,8 +303,8 @@ def _run_sweep(config: RunConfig, outdir: Path, summary: dict) -> int:
 
 
 _COMMANDS = {
-    "solve-direct": lambda *args: _direct(*args)[0],
-    "solve-indirect": lambda *args: _indirect(*args)[0],
+    "solve-direct": lambda config, *args: _direct(config, _setup(config), *args)[0],
+    "solve-indirect": lambda config, *args: _indirect(config, _setup(config), *args)[0],
     "compare": _run_compare,
     "convergence": _run_convergence,
     "sweep": _run_sweep,
@@ -312,7 +314,11 @@ _COMMANDS = {
 def run(command: str, config: RunConfig) -> int:
     """Execute one subcommand; write manifest and artifacts; return exit code."""
     outdir = Path(config.run["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        print(f"invalid input: output_dir {str(outdir)!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     summary = {}
     t0 = time.perf_counter()
     try:

@@ -23,10 +23,10 @@ N*M, the system is that map applied to the identity
 :func:`fixed_point_batch` allocates once per call (per-pass temporaries
 would be mapped and faulted in afresh by the C allocator), solved by one
 batched dense LU.  A larger system is never formed: GMRES applies the map
-(:func:`_apply_operator`) member by member from the previous iterate,
-preconditioned by a Sylvester equation solved by diagonalizing its space
-side, with each member's preconditioners reused from pass to pass
-(:func:`_solve_matrix_free`).
+(:func:`_apply_operator`) member by member from the previous iterate, once
+per system and pass, preconditioned by a Sylvester equation solved by
+diagonalizing its space side; a member keeps a preconditioner for the next
+pass when its GMRES count did not rise (:func:`_solve_matrix_free`).
 Both paths run on numpy alone.  Whole fixed-point solves (default
 parameters, zero control, 2-vCPU VM, OpenBLAS threads at their default;
 fastest of many) take, dense against GMRES: 0.011 s against 0.032 s at
@@ -274,38 +274,31 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, reuse=None
     guesses ``x0`` (zero if not given).  A dict ``reuse``, kept by the
     caller from one fixed-point pass to the next, carries the preconditioner
     and the largest GMRES iteration count of its solves.  The preconditioner
-    is rebuilt for the next pass when a solve took more iterations than in
-    the previous pass.  A run on a reused preconditioner is abandoned past
-    twice the previous count, and solved again from the same guess on a
-    fresh one.
+    is kept for the next pass only when this pass's solves took no more
+    iterations than the previous pass's, so the first pass's never is (built
+    at the zero iterate, where the frozen coefficients do not depend on t,
+    it is exact, and its solves take 1-2 iterations).  Each system is
+    solved once per pass; a run that fails raises, on a kept preconditioner
+    as on a fresh one.
     """
     N, M = setup.N, setup.M
     reuse = {} if reuse is None else reuse
-    precondition, previous = reuse.get("precondition"), reuse.get("iterations", np.inf)
+    precondition = reuse.get("precondition") or _preconditioner(g1, G2, setup, params)
 
     def apply(x):
         return _apply_operator(g1, G2, setup, params, x.reshape(N, M)).ravel()
 
     x0 = np.zeros_like(sources) if x0 is None else x0
-    X, count, fresh = np.empty_like(sources), 0, False
+    X, count = np.empty_like(sources), 0
     for k, (b, x) in enumerate(zip(sources, x0)):
-        while True:
-            if precondition is None:
-                precondition, fresh = _preconditioner(g1, G2, setup, params), True
-            try:
-                y, its = _gmres(apply, precondition, b.ravel(), name, x.ravel(),
-                                GMRES_MAX_ITER if fresh else min(2 * previous, GMRES_MAX_ITER))
-                break
-            except NonConvergenceError:
-                if fresh:
-                    raise
-                precondition = None
+        y, its = _gmres(apply, precondition, b.ravel(), name, x.ravel())
         X[k], count = y.reshape(N, M), max(count, its)
-    reuse.update(precondition=None if count > previous else precondition, iterations=count)
+    keep = "iterations" in reuse and count <= reuse["iterations"]
+    reuse.update(precondition=precondition if keep else None, iterations=count)
     return X
 
 
-def _gmres(apply, precondition, b, name, x0, limit=None):
+def _gmres(apply, precondition, b, name, x0):
     """x with ||b - A x|| <= GMRES_RTOL ||b|| by restarted, right-preconditioned GMRES.
 
     ``apply`` is x -> A x and ``precondition`` r -> M^-1 r (Saad & Schultz,
@@ -320,12 +313,11 @@ def _gmres(apply, precondition, b, name, x0, limit=None):
     built from ``np.hypot``, as ``math.hypot`` rounds differently in the
     last bit, so x is bit for bit what the same steps give on numpy arrays.
     Returns x and the iterations taken.  Raises
-    :class:`NonConvergenceError` after ``limit`` iterations
-    (``GMRES_MAX_ITER`` if not given) or on a non-finite residual, and
+    :class:`NonConvergenceError` after ``GMRES_MAX_ITER`` iterations or on
+    a non-finite residual, whatever the preconditioner, and
     :class:`SingularOperatorError` when a rotation meets a zero column,
     as on a singular operator.
     """
-    limit = GMRES_MAX_ITER if limit is None else limit
     bnorm = np.linalg.norm(b)
     x, r = x0, b - apply(x0)
     if not np.linalg.norm(r) < bnorm:
@@ -333,11 +325,11 @@ def _gmres(apply, precondition, b, name, x0, limit=None):
     target = GMRES_RTOL * bnorm
     done = 0
     while not (beta := np.linalg.norm(r)) <= target:
-        if done >= limit or not np.isfinite(beta):
+        if done >= GMRES_MAX_ITER or not np.isfinite(beta):
             raise NonConvergenceError(
                 f"GMRES on the {name} collocation system stopped at relative "
                 f"residual {beta / bnorm:.3e} after {done} iterations")
-        m = min(GMRES_RESTART, limit - done)
+        m = min(GMRES_RESTART, GMRES_MAX_ITER - done)
         V = np.empty((m + 1, b.size))  # each row written before it is read
         np.divide(r, beta, out=V[0])
         # Triangular columns, Givens (cos, sin) reducing them, least-squares rhs

@@ -181,6 +181,9 @@ def adjoint_drift(fr: Frame, v_inner, v, dv):
     drift = (v_inner * iom) * pts.opr
     dfv_dF = fr.om / (2.0 * p.M0) * fr.es[2] * (p.mu1 - p.mu2 - p.lam * fr.LHr)
     g42 = base - drift - pts.a2 * iom
+    # Known discrepancy, pinned by perfbench/refs.json: the velocity terms
+    # divide by 1 - R, where every other transformed term divides by
+    # om = 1 - (R + eps), R being the shifted radius.
     g62 = (p.D * base - drift
            - (pts.c3 * (v + p.D * p.beta) + pts.wo * dv + 2.0 * fr.X[2] * dfv_dF)
            / (1.0 - fr.R))

@@ -14,20 +14,19 @@ import numpy as np
 from plaquectrl import direct
 
 
-def gmres_reference(apply, precondition, b, name, x0, limit=None):
+def gmres_reference(apply, precondition, b, name, x0):
     """x with ||b - A x|| <= GMRES_RTOL ||b||, and the iterations taken."""
-    limit = direct.GMRES_MAX_ITER if limit is None else limit
     x, r = x0, b - apply(x0)
     if not np.linalg.norm(r) < np.linalg.norm(b):
         x, r = np.zeros_like(b), b
     target = direct.GMRES_RTOL * np.linalg.norm(b)
     done = 0
     while not (beta := np.linalg.norm(r)) <= target:
-        if done >= limit or not np.isfinite(beta):
+        if done >= direct.GMRES_MAX_ITER or not np.isfinite(beta):
             raise direct.NonConvergenceError(
                 f"GMRES on the {name} collocation system stopped at relative "
                 f"residual {beta / np.linalg.norm(b):.3e} after {done} iterations")
-        m = min(direct.GMRES_RESTART, limit - done)
+        m = min(direct.GMRES_RESTART, direct.GMRES_MAX_ITER - done)
         V = np.empty((m + 1, b.size))
         H = np.zeros((m + 1, m))
         rot = np.zeros((m, 2))

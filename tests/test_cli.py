@@ -93,6 +93,16 @@ class TestConfig:
             assert code == 2, flags
             assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_unusable_output_dir(self, tmp_path, capsys, monkeypatch, under):
+        # an existing file, or a path under one: reported before any solve
+        (tmp_path / "taken").write_text("")
+        outdir = tmp_path / "taken" / "out" if under else tmp_path / "taken"
+        monkeypatch.setattr(cli, "build_setup", None)
+        assert cli.main(["compare", "--output-dir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: output_dir") and err.count("\n") == 1
+
     def test_one_flag_per_setting(self, tmp_path):
         keys = [k for section in cli.SECTIONS.values() for k in section]
         assert list(cli.PARAM_KEYS) == [f.name for f in dataclasses.fields(ModelParameters)]
@@ -192,6 +202,12 @@ class TestCommands:
         assert cm["control_match_fraction"] == 1.0
         text = (tmp_path / "cross_method.csv").read_text()
         assert text.splitlines()[0] == "quantity,sup_norm_difference"
+
+    def test_compare_builds_one_grid(self, tmp_path, monkeypatch):
+        calls, build = [], cli.build_setup
+        monkeypatch.setattr(cli, "build_setup", lambda *grid: calls.append(grid) or build(*grid))
+        assert _run_main(tmp_path, "compare") == 0
+        assert calls == [(4, 4)]
 
     def test_convergence_rows(self, tmp_path):
         code = _run_main(tmp_path, "convergence",

@@ -552,13 +552,13 @@ class TestPreconditioner:
             args[-1].clear()
             return solve(*args)
 
-        def bad(*args):  # no preconditioning in place of every reused one
+        def bad(*args):  # no preconditioning in place of every kept one
             if args[-1].get("precondition") is not None:
                 args[-1]["precondition"] = lambda r: r
             return solve(*args)
 
         runs = {}
-        for name, solver in (("fresh", fresh), ("reused", solve), ("bad", bad)):
+        for name, solver in (("fresh", fresh), ("reused", solve)):
             monkeypatch.setattr(direct, "_solve_matrix_free", solver)
             monkeypatch.setattr(direct, "_preconditioner", counted := _Counted(build))
             st = direct.fixed_point_solve(_zero_control(32), s, P)
@@ -566,12 +566,34 @@ class TestPreconditioner:
             runs[name] = (st.iterations, _objective(st, P), counted.calls)
         passes, J, builds = runs["fresh"]
         assert builds == 2 * passes
-        for name in ("reused", "bad"):
-            assert runs[name][0] == passes, name
-            assert abs(runs[name][1] - J) <= 1e-13, name
+        assert runs["reused"][0] == passes
+        assert abs(runs["reused"][1] - J) <= 1e-13
         assert runs["reused"][2] < passes
-        # every run on a bad preconditioner is abandoned and solved again
-        assert runs["bad"][2] == 2 * passes
+        # a run on a kept preconditioner is not solved again: its failure raises
+        monkeypatch.setattr(direct, "_solve_matrix_free", bad)
+        with pytest.raises(direct.NonConvergenceError,
+                           match=f"GMRES on the F collocation system stopped at relative "
+                                 f"residual .* after {direct.GMRES_MAX_ITER} iterations"):
+            direct.fixed_point_solve(_zero_control(32), s, P)
+
+    @pytest.mark.parametrize("params", [P, P_SLOW], ids=["default", "mu1=0.06"])
+    def test_each_system_solved_once_per_pass(self, params, monkeypatch):
+        # L and H share one operator: GMRES runs L, H, then F, once each per pass
+        passes, evaluate, gmres = [], kernels.eval_state_grids, direct._gmres
+
+        def next_pass(*args):
+            passes.append([])
+            return evaluate(*args)
+
+        def run(apply, precondition, b, name, x0):
+            passes[-1].append(name)
+            return gmres(apply, precondition, b, name, x0)
+
+        monkeypatch.setattr(kernels, "eval_state_grids", next_pass)
+        monkeypatch.setattr(direct, "_gmres", run)
+        st = direct.fixed_point_solve(_zero_control(16), build_setup(16, 16), params)
+        assert st.converged
+        assert passes == [["L", "L", "F"]] * st.iterations
 
 
 def _gmres_system(setup, params, steps):
@@ -649,8 +671,8 @@ class TestWarmStart:
         # 1,127 with this cold wrapper, 2-vCPU VM, OpenBLAS).
         s, gmres, operator = build_setup(32, 32), direct._gmres, direct._apply_operator
 
-        def cold(apply, precondition, b, name, x0, limit):
-            return gmres(apply, precondition, b, name, np.zeros_like(b), limit)
+        def cold(apply, precondition, b, name, x0):
+            return gmres(apply, precondition, b, name, np.zeros_like(b))
 
         runs = []
         for solver in (gmres, cold):
@@ -665,12 +687,12 @@ class TestWarmStart:
         assert warm_calls <= 0.9 * cold_calls
 
 
-def _both_gmres(system, x0, limit=None):
+def _both_gmres(system, x0):
     """direct._gmres and its reference on ``system``: (x, iterations) or the error."""
     runs = []
     for solver in (direct._gmres, gmres_reference):
         try:
-            runs.append(solver(*system, "L", x0, limit))
+            runs.append(solver(*system, "L", x0))
         except direct.NonConvergenceError as err:
             runs.append(str(err))
     return runs
@@ -687,47 +709,44 @@ class TestGmresBitIdentity:
     """GMRES on Python floats against the numpy-array reference, bit for bit."""
 
     @pytest.fixture(scope="class", params=[16, 32], ids=["16x16", "32x32"])
-    def systems(self, request):
-        # The L system of the fifth pass, and the preconditioner of the second
+    def system(self, request):
+        # The L system of the fifth pass
         s = build_setup(request.param, request.param)
-        system, stale = _gmres_system(s, P, 4), _gmres_system(s, P, 1)
-        return system, (system[0], stale[1], system[2])
+        return _gmres_system(s, P, 4)
 
     @pytest.fixture(scope="class")
-    def cold(self, systems):
-        new, ref = _both_gmres(systems[0], np.zeros_like(systems[0][2]))
+    def cold(self, system):
+        new, ref = _both_gmres(system, np.zeros_like(system[2]))
         _assert_bit_identical(new, ref)
         return new
 
     def test_cold_start(self, cold):
         assert cold[1] > 5
 
-    def test_warm_start(self, systems, cold):
-        new, ref = _both_gmres(systems[0], (1.0 + 1e-6) * cold[0])
+    def test_warm_start(self, system, cold):
+        new, ref = _both_gmres(system, (1.0 + 1e-6) * cold[0])
         _assert_bit_identical(new, ref)
         assert new[1] < cold[1]
 
-    def test_rejected_guess(self, systems, cold):
-        new, ref = _both_gmres(systems[0], -cold[0])
+    def test_rejected_guess(self, system, cold):
+        new, ref = _both_gmres(system, -cold[0])
         _assert_bit_identical(new, ref)
         assert new[1] == cold[1]
 
-    def test_short_restarts(self, systems, cold, monkeypatch):
+    def test_short_restarts(self, system, cold, monkeypatch):
         monkeypatch.setattr(direct, "GMRES_RESTART", 5)
         for x0 in (np.zeros_like(cold[0]), (1.0 + 1e-6) * cold[0]):
-            new, ref = _both_gmres(systems[0], x0)
+            new, ref = _both_gmres(system, x0)
             _assert_bit_identical(new, ref)
-
-    def test_reused_preconditioner_abandoned_at_its_limit(self, systems, cold):
-        x0 = np.zeros_like(cold[0])
-        limit = direct._gmres(*systems[1], "L", x0)[1] // 2
-        new, ref = _both_gmres(systems[1], x0, limit)
+        # past the iteration cap both raise the same error
+        monkeypatch.setattr(direct, "GMRES_MAX_ITER", cap := cold[1] // 2)
+        new, ref = _both_gmres(system, np.zeros_like(cold[0]))
         _assert_bit_identical(new, ref)
-        assert new.endswith(f"after {limit} iterations")
+        assert new.endswith(f"after {cap} iterations")
 
     @pytest.mark.parametrize("params", [P, P_SLOW], ids=["default", "mu1=0.06"])
     def test_whole_matrix_free_fixed_point(self, params, monkeypatch):
-        # Warm starts throughout, and two runs abandoned on a reused preconditioner
+        # Warm starts throughout, on fresh and on kept preconditioners
         s, states = build_setup(16, 16), []
         for solver in (direct._gmres, gmres_reference):
             monkeypatch.setattr(direct, "_gmres", solver)
