@@ -199,6 +199,8 @@ def _direct(config: RunConfig, setup, outdir: Path, summary: dict):
         "final_radius_physical": state.final_radius() + eps,
         "fixed_point_converged": state.converged,
         "fixed_point_iterations": state.iterations,
+        "gmres_iterations": state.gmres_iterations,
+        "preconditioner_builds": state.preconditioner_builds,
         "sqp_converged": result.converged,
         "sqp_iterations": result.iterations,
         "sqp_message": result.message,

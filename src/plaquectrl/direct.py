@@ -24,18 +24,20 @@ N*M, the system is that map applied to the identity
 would be mapped and faulted in afresh by the C allocator), solved by one
 batched dense LU.  A larger system is never formed: GMRES applies the map
 (:func:`_apply_operator`) member by member from the previous iterate, once
-per system and pass, preconditioned by a Sylvester equation solved by
-diagonalizing its space side; a member keeps a preconditioner for the next
-pass when its GMRES count did not rise (:func:`_solve_matrix_free`).
-Both paths run on numpy alone.  Whole fixed-point solves (default
-parameters, zero control, 2-vCPU VM, OpenBLAS threads at their default;
-fastest of many) take, dense against GMRES: 0.011 s against 0.032 s at
-9 x 9 (81 unknowns), 0.014 s against 0.033 s at 11 x 9 (99), 0.015 s
-against 0.032 s at 10 x 10 (100), 0.077 s against 0.035 s at 16 x 16 and
-1.8 s against 0.090 s at 32 x 32.  Dense wins up to about 12 x 12 and
-breaks even at 13 x 13; moving the cut-off would change the rounding of
-every grid in between.  Both paths take the same fixed-point iterations
-and agree on J to 1e-15.
+per system and pass, preconditioned by a Sylvester equation with the drift
+fitted to its time median, solved by diagonalizing its space side; a member
+keeps a preconditioner for the next pass when its GMRES count did not rise
+(:func:`_solve_matrix_free`).  Both paths run on numpy alone.  Whole
+fixed-point solves (default parameters, zero control, 2-vCPU VM, OpenBLAS
+threads at their default; fastest of 3-15 solves in each of two processes)
+take, dense against GMRES: 0.011 s against 0.032 s at 9 x 9 (81 unknowns),
+0.014 s against 0.034 s at 11 x 9 (99), 0.016 s against 0.030 s at
+10 x 10 (100), 0.029 s against 0.034 s at 12 x 12, 0.037 s against
+0.035 s at 13 x 13, 0.085 s against 0.039 s at 16 x 16 and 1.7 s against
+0.078 s at 32 x 32.  Dense wins up to about 12 x 12 and breaks even at
+13 x 13; moving the cut-off would change the rounding of every grid in
+between.  Both paths take the same fixed-point iterations and agree on J
+to 1e-15.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ FP_MAX_ITER = 400
 # Largest N*M solved by dense LU; the module docstring gives the measurements.
 DENSE_MAX_UNKNOWNS = 99
 # GMRES stops at ||b - A x|| <= GMRES_RTOL ||b||, restarts every
-# GMRES_RESTART iterations and raises after GMRES_MAX_ITER.  The hardest system
-# measured (mu1 = 0.06, mu2 = 0.015, 64 x 64, third fixed-point pass) needs about 190.
+# GMRES_RESTART iterations and raises after GMRES_MAX_ITER.  The hardest systems
+# measured are third fixed-point passes at mu1 = 0.06, mu2 = 0.015: up to 156
+# iterations at 48 x 48 and 135 at 64 x 64 (zero and pool controls).
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 200
 GMRES_MAX_ITER = 600
@@ -130,7 +133,10 @@ class StateSolution:
     of L, H and F, and ``C_R`` (M,) the time coefficients of R; the last time
     node is t = 1, so R(1) is the last of :meth:`radius_nodes`.  ``v_field``
     holds nodal velocity values per time node, with the boundary trace and
-    slope at rho = -1 alongside.
+    slope at rho = -1 alongside.  ``gmres_iterations`` and
+    ``preconditioner_builds`` total the matrix-free work of the solve's
+    passes, L/H and F together (:func:`_solve_matrix_free`); both are 0 on
+    the dense path.
     """
 
     C: np.ndarray
@@ -140,6 +146,8 @@ class StateSolution:
     residual_history: list
     converged: bool
     iterations: int
+    gmres_iterations: int
+    preconditioner_builds: int
     setup: CollocationSetup = dc_field(repr=False, default=None)
 
     def field_nodes(self, which: str) -> np.ndarray:
@@ -232,11 +240,23 @@ def _solve_fields(S, LH, F, setup, params, work, x0):
 
 def _preconditioner(g1, G2, setup, params):
     """r -> M^-1 r for the operator with diffusion g1 and drift G2, by the
-    fast diagonalization of its space side (:func:`_solve_matrix_free`)."""
+    fast diagonalization of its space side (:func:`_solve_matrix_free`).
+
+    The drift is fitted as a(rho) g1(t), a the time median of G2/g1.  On
+    L/H about 99% of the squared mismatch of the fit sits at the four space
+    nodes nearest the wall, where G2/g1 swings with R(t) (from -86 to -22
+    at rho = -0.9973, 32 x 32 zero control): the median follows most time
+    nodes there, where the mean is pulled by the swing.  At 32 x 32 that
+    takes 8% fewer GMRES iterations than the time mean, and fewer than any
+    quantile, trimmed, weighted or single-node fit tried.
+    """
     N, M = setup.N, setup.M
     c = 2.0 / params.T
     g1 = np.ravel(g1)
-    a = np.mean(G2 / g1, axis=1)
+    # The time median of G2/g1, as np.median computes it; np.median itself
+    # imports numpy.ma on first use (1.6 MiB of peak RSS in a 32 x 32 solve).
+    q = np.sort(G2 / g1, axis=1)[:, [(M - 1) // 2, M // 2]]
+    a = 0.5 * (q[:, 0] + q[:, 1])
     lam, X = np.linalg.eig(setup.D0rT_inv @ (a[:, None] * setup.D1r.T - setup.D2r.T) / c)
     keep = lam.imag >= 0
     left = np.linalg.inv(X)[keep] @ setup.D0rT_inv / c
@@ -254,7 +274,8 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, reuse=None
 
     GMRES applies :func:`_apply_operator`.  In W = C D0t, with
     K = D0t^-1 D1t, scaling its time columns by d = 1/g1 and replacing
-    G2 diag(d) by its time mean a(rho) leaves the Sylvester equation
+    G2 diag(d) by its time median a(rho) (the median is the better fit
+    near the wall; :func:`_preconditioner`) leaves the Sylvester equation
     P W + W K diag(d) = (c D0r')^-1 R diag(d),
     P = (c D0r')^-1 (diag(a) D1r' - D2r'); its solution is the
     preconditioner (:func:`_preconditioner`).  Only the space side is
@@ -267,13 +288,18 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, reuse=None
     Im lambda >= 0 are kept, the columns of X for the pairs are doubled,
     and the real part is C (as measured, L/H's P has a real spectrum and
     F's has complex pairs).
-    cond(X) stays below 430 up to 64 x 64 at both measured parameter sets.
+    Over the zero and pool controls, cond(X) stays below 450 up to
+    64 x 64 at both measured parameter sets, except at 48 x 48 and
+    mu1 = 0.06, where it reaches 1.6e4; GMRES recomputes the true residual,
+    so that costs iterations, not accuracy.
     D0r'^-1 comes from the setup.
 
     ``sources`` is (k, N, M), and so are the result and the starting
     guesses ``x0`` (zero if not given).  A dict ``reuse``, kept by the
     caller from one fixed-point pass to the next, carries the preconditioner
-    and the largest GMRES iteration count of its solves.  The preconditioner
+    and the largest GMRES iteration count of its solves, and totals the
+    GMRES iterations and preconditioner builds of its passes ("gmres_iterations",
+    "builds", read by :func:`fixed_point_batch`).  The preconditioner
     is kept for the next pass only when this pass's solves took no more
     iterations than the previous pass's, so the first pass's never is (built
     at the zero iterate, where the frozen coefficients do not depend on t,
@@ -283,18 +309,22 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, reuse=None
     """
     N, M = setup.N, setup.M
     reuse = {} if reuse is None else reuse
-    precondition = reuse.get("precondition") or _preconditioner(g1, G2, setup, params)
+    precondition = reuse.get("precondition")
+    if precondition is None:
+        precondition = _preconditioner(g1, G2, setup, params)
+        reuse["builds"] = reuse.get("builds", 0) + 1
 
     def apply(x):
         return _apply_operator(g1, G2, setup, params, x.reshape(N, M)).ravel()
 
     x0 = np.zeros_like(sources) if x0 is None else x0
-    X, count = np.empty_like(sources), 0
+    X, count, total = np.empty_like(sources), 0, reuse.get("gmres_iterations", 0)
     for k, (b, x) in enumerate(zip(sources, x0)):
         y, its = _gmres(apply, precondition, b.ravel(), name, x.ravel())
-        X[k], count = y.reshape(N, M), max(count, its)
+        X[k], count, total = y.reshape(N, M), max(count, its), total + its
     keep = "iterations" in reuse and count <= reuse["iterations"]
-    reuse.update(precondition=precondition if keep else None, iterations=count)
+    reuse.update(precondition=precondition if keep else None, iterations=count,
+                 gmres_iterations=total)
     return X
 
 
@@ -418,6 +448,7 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     v_field, v_inner = np.zeros((B, N, M)), np.zeros((B, M))
     last, omega = np.full(B, np.inf), np.ones(B)  # previous update delta, blend weight
     passes = np.zeros(B, dtype=int)  # pass each member converged at, 0 while moving
+    counts = np.zeros((B, 2), dtype=int)  # GMRES iterations, preconditioner builds
     history = [[] for _ in range(B)]
     # Dense buffers shared by L/H and F, each solved before the next is assembled;
     # column-major: assembly writes each column contiguously, and in C order it is
@@ -428,12 +459,16 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     for it in range(1, max_iter + 1):
         S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])
         C_new = _solve_fields(S, LH, F, setup, params, work, C)
+        moving = passes == 0
+        if isinstance(work, list):  # a held member's later solves are not its own
+            for b in np.flatnonzero(moving):
+                counts[b] = [sum(d[key] for d in work[b].values())
+                             for key in ("gmres_iterations", "builds")]
         # One row product per member, never one product over the batch, so
         # that no member's rounding depends on the batch it is in.
         C_R_new = (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]
         delta = np.maximum(np.abs(C_new - C).max(axis=(0, 2, 3)),
                            np.abs(C_R_new - C_R).max(axis=1))
-        moving = passes == 0
         if not np.all(np.isfinite(delta[moving])):
             raise NonConvergenceError(f"non-finite update at iteration {it}")
         omega = np.where(delta > last, np.maximum(0.5 * omega, 0.1),
@@ -454,7 +489,9 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
             break
     return [StateSolution(C=C[:, b], C_R=C_R[b], v_field=v_field[b], v_inner=v_inner[b],
                           residual_history=history[b], converged=bool(passes[b]),
-                          iterations=int(passes[b]) or max_iter, setup=setup)
+                          iterations=int(passes[b]) or max_iter,
+                          gmres_iterations=int(counts[b, 0]),
+                          preconditioner_builds=int(counts[b, 1]), setup=setup)
             for b in range(B)]
 
 

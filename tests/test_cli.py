@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from plaquectrl import cli
+from plaquectrl import cli, direct
 from plaquectrl.params import ModelParameters
 
 
@@ -184,6 +184,23 @@ class TestCommands:
         direct = json.loads((tmp_path / "manifest.json").read_text())["summary"]["direct"]
         assert direct["sqp_oracle_calls"] >= 1
         assert direct["sqp_evaluations"] >= direct["sqp_oracle_calls"]
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_solve_direct_reports_matrix_free_counts(self, tmp_path, monkeypatch, n):
+        # the returned state's counts: GMRES above DENSE_MAX_UNKNOWNS, 0 below
+        returned, solve = [], direct.solve_direct
+
+        def recording(*args, **kwargs):
+            returned.append(solve(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(direct, "solve_direct", recording)
+        assert _run_main(tmp_path, "solve-direct", ["--N", str(n), "--M", str(n)]) == 0
+        got = json.loads((tmp_path / "manifest.json").read_text())["summary"]["direct"]
+        state = returned[0][1]
+        assert (got["gmres_iterations"], got["preconditioner_builds"]) == (
+            state.gmres_iterations, state.preconditioner_builds)
+        assert (state.preconditioner_builds > 0) == (n * n > direct.DENSE_MAX_UNKNOWNS)
 
     def test_solve_indirect_decoupled(self, tmp_path):
         code = _run_main(tmp_path, "solve-indirect")

@@ -532,13 +532,13 @@ class TestPreconditioner:
     @pytest.mark.parametrize("n", [16, 32])
     def test_inverts_the_separable_operator(self, n):
         # c D0r' C D1t + (diag(a) D1r' - D2r') C D0t diag(g1): the operator
-        # with G2 replaced by a(rho) g1(t), a the time mean of G2 diag(1/g1)
+        # with G2 replaced by a(rho) g1(t), a the time median of G2 diag(1/g1)
         s = build_setup(n, n)
         _, LH, F = _grids_after(_zero_control(n), s, P, 2)
         r = np.random.default_rng(n).standard_normal((n, n))
         complex_spectra = []
         for g1, G2 in (LH, F):
-            space = np.mean(G2 / g1, axis=1)[:, None] * s.D1r.T - s.D2r.T
+            space = np.median(G2 / g1, axis=1)[:, None] * s.D1r.T - s.D2r.T
             C = direct._preconditioner(g1, G2, s, P)(r.ravel()).reshape(n, n)
             separable = (2.0 / P.T) * s.D0r.T @ C @ s.D1t + space @ C @ s.D0t * g1
             assert _rel_err(separable, r) <= 1e-10
@@ -594,6 +594,47 @@ class TestPreconditioner:
         st = direct.fixed_point_solve(_zero_control(16), build_setup(16, 16), params)
         assert st.converged
         assert passes == [["L", "L", "F"]] * st.iterations
+
+
+class TestMatrixFreeCounts:
+    def test_counts_are_the_gmres_iterations_and_builds(self, monkeypatch):
+        runs, gmres = [], direct._gmres
+
+        def run(*args):
+            x, its = gmres(*args)
+            runs.append(its)
+            return x, its
+
+        monkeypatch.setattr(direct, "_gmres", run)
+        monkeypatch.setattr(direct, "_preconditioner", build := _Counted(direct._preconditioner))
+        st = direct.fixed_point_solve(_zero_control(16), build_setup(16, 16), P)
+        assert st.converged and len(runs) == 3 * st.iterations
+        assert (st.gmres_iterations, st.preconditioner_builds) == (sum(runs), build.calls)
+
+    def test_dense_path_counts_nothing(self):
+        st = direct.fixed_point_solve(_zero_control(8), build_setup(8, 8), P)
+        assert st.converged
+        assert (st.gmres_iterations, st.preconditioner_builds) == (0, 0)
+
+    def test_held_member_counts_its_own_passes(self):
+        # at tol 1e-11 the zero control converges a pass before the full one
+        # and is still solved while held; those later solves are not counted,
+        # so each member counts as if alone
+        K, s, tol = P.Kbound, build_setup(10, 10), 1e-11
+        segments = (np.zeros(10), np.full(10, K))
+        batch = direct.fixed_point_batch(
+            np.stack([_nodal(x, s, P) for x in segments]), s, P, tol=tol)
+        assert batch[0].iterations < batch[1].iterations
+        for x, got in zip(segments, batch):
+            ref = direct.fixed_point_solve(direct.ControlVector(x, K), s, P, tol=tol)
+            assert ((got.gmres_iterations, got.preconditioner_builds)
+                    == (ref.gmres_iterations, ref.preconditioner_builds))
+
+    def test_median_fit_at_32x32(self):
+        # fitting the drift to the time mean took 772 iterations and 15 builds
+        st = direct.fixed_point_solve(_zero_control(32), build_setup(32, 32), P)
+        assert st.converged
+        assert st.gmres_iterations <= 740 and st.preconditioner_builds <= 13
 
 
 def _gmres_system(setup, params, steps):
