@@ -105,8 +105,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
                 cp.read_file(fh, source=str(path))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except configparser.Error as exc:
-            raise ConfigError(f"config parse error: {exc}") from None
+        except configparser.Error as exc:  # its file, line and text, on one line
+            raise ConfigError(f"config parse error: {' '.join(str(exc).split())}") from None
         for section in cp.sections():
             if section not in SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")

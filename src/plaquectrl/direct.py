@@ -204,7 +204,7 @@ def assemble_operator(g1, G2, setup: CollocationSetup,
     return AT.swapaxes(-1, -2) if out is None else out[0]
 
 
-def _solve_fields(S, LH, F, setup, params, work, x0):
+def _solve_fields(S, LH, F, setup, params, work, x0, moving):
     """Coefficient matrices (3, B, N, M) of L, H, F for sources S (3, B, N, M).
 
     L and H share the operator of the (diffusion g1 (B, 1, M), drift
@@ -212,18 +212,19 @@ def _solve_fields(S, LH, F, setup, params, work, x0):
     of buffers (2, B, n, n), which :func:`fixed_point_batch` allocates up to
     ``DENSE_MAX_UNKNOWNS`` unknowns, each operator's B members are assembled
     into them and solved by one batched dense LU.  Above, ``work`` holds one
-    dict per member, and each member is solved matrix-free from the guesses
-    ``x0`` (3, B, N, M), reusing the preconditioners that its dict carries
-    over from the previous pass.
+    dict per member: each member still ``moving`` (B,) is solved from the
+    guesses ``x0`` (3, B, N, M) with the preconditioners its dict carries
+    over, and the matrix-free path does not solve a held member again.
     """
     systems = (("L", LH, slice(0, 2)), ("F", F, slice(2, 3)))
-    X = np.empty_like(S)
     if isinstance(work, list):
-        for b, reuse in enumerate(work):
+        X = x0.copy()
+        for b in np.flatnonzero(moving):
             for name, (g1, G2), k in systems:
                 X[k, b] = _solve_matrix_free(g1[b], G2[b], setup, params, S[k, b], name,
-                                             x0[k, b], reuse.setdefault(name, {}))
+                                             x0[k, b], work[b].setdefault(name, {}))
         return X
+    X = np.empty_like(S)
     for name, (g1, G2), k in systems:
         A = assemble_operator(g1, G2, setup, params, out=work)
         try:
@@ -269,7 +270,7 @@ def _preconditioner(g1, G2, setup, params):
     return precondition
 
 
-def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, reuse=None):
+def _solve_matrix_free(g1, G2, setup, params, sources, name, x0, reuse):
     """One member's :func:`_solve_fields` system by GMRES, never forming the operator.
 
     GMRES applies :func:`_apply_operator`.  In W = C D0t, with
@@ -295,20 +296,19 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, reuse=None
     D0r'^-1 comes from the setup.
 
     ``sources`` is (k, N, M), and so are the result and the starting
-    guesses ``x0`` (zero if not given).  A dict ``reuse``, kept by the
-    caller from one fixed-point pass to the next, carries the preconditioner
-    and the largest GMRES iteration count of its solves, and totals the
-    GMRES iterations and preconditioner builds of its passes ("gmres_iterations",
-    "builds", read by :func:`fixed_point_batch`).  The preconditioner
-    is kept for the next pass only when this pass's solves took no more
-    iterations than the previous pass's, so the first pass's never is (built
-    at the zero iterate, where the frozen coefficients do not depend on t,
-    it is exact, and its solves take 1-2 iterations).  Each system is
-    solved once per pass; a run that fails raises, on a kept preconditioner
-    as on a fresh one.
+    guesses ``x0``.  A dict ``reuse``, kept by the caller from one
+    fixed-point pass to the next, carries the preconditioner and the largest
+    GMRES iteration count of its solves, and totals the GMRES iterations and
+    preconditioner builds of its passes ("gmres_iterations", "builds", read
+    by :func:`fixed_point_batch`).  The preconditioner is kept for the next
+    pass only when this pass's solves took no more iterations than the
+    previous pass's, so the first pass's never is (built at the zero
+    iterate, where the frozen coefficients do not depend on t, it is exact,
+    and its solves take 1-2 iterations).  Each system is solved once per
+    pass; the matrix-free path does not solve a held member again.  A run
+    that fails raises, on a kept preconditioner as on a fresh one.
     """
     N, M = setup.N, setup.M
-    reuse = {} if reuse is None else reuse
     precondition = reuse.get("precondition")
     if precondition is None:
         precondition = _preconditioner(g1, G2, setup, params)
@@ -317,7 +317,6 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name, x0=None, reuse=None
     def apply(x):
         return _apply_operator(g1, G2, setup, params, x.reshape(N, M)).ravel()
 
-    x0 = np.zeros_like(sources) if x0 is None else x0
     X, count, total = np.empty_like(sources), 0, reuse.get("gmres_iterations", 0)
     for k, (b, x) in enumerate(zip(sources, x0)):
         y, its = _gmres(apply, precondition, b.ravel(), name, x.ravel())
@@ -420,11 +419,12 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     the others move on.  A member still moving after ``max_iter`` passes is
     returned with ``converged=False``.  Each pass solves the whole batch
     together: one batched dense solve for L/H and one for F, or GMRES member
-    by member above ``DENSE_MAX_UNKNOWNS``.  Every member takes the same
-    passes, and gives bit for bit the same state, as a batch of one.  Each
-    pass builds one :class:`~plaquectrl.model.Frame` of the new iterate,
-    which serves its velocity solve and the next pass's grids.  The iterate
-    C is (3, B, N, M), field-major like both, and member b gets ``C[:, b]``.
+    by member above ``DENSE_MAX_UNKNOWNS``; the matrix-free path does not
+    solve a held member again.  Every member takes the same passes, and
+    gives bit for bit the same state, as a batch of one.  Each pass builds
+    one :class:`~plaquectrl.model.Frame` of the new iterate, which serves
+    its velocity solve and the next pass's grids.  The iterate C is
+    (3, B, N, M), field-major like both, and member b gets ``C[:, b]``.
 
     Updates are under-relaxed adaptively, per member: the blend weight
     halves whenever the raw update delta grows and recovers toward 1 as it
@@ -448,7 +448,6 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     v_field, v_inner = np.zeros((B, N, M)), np.zeros((B, M))
     last, omega = np.full(B, np.inf), np.ones(B)  # previous update delta, blend weight
     passes = np.zeros(B, dtype=int)  # pass each member converged at, 0 while moving
-    counts = np.zeros((B, 2), dtype=int)  # GMRES iterations, preconditioner builds
     history = [[] for _ in range(B)]
     # Dense buffers shared by L/H and F, each solved before the next is assembled;
     # column-major: assembly writes each column contiguously, and in C order it is
@@ -458,12 +457,8 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
 
     for it in range(1, max_iter + 1):
         S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])
-        C_new = _solve_fields(S, LH, F, setup, params, work, C)
         moving = passes == 0
-        if isinstance(work, list):  # a held member's later solves are not its own
-            for b in np.flatnonzero(moving):
-                counts[b] = [sum(d[key] for d in work[b].values())
-                             for key in ("gmres_iterations", "builds")]
+        C_new = _solve_fields(S, LH, F, setup, params, work, C, moving)
         # One row product per member, never one product over the batch, so
         # that no member's rounding depends on the batch it is in.
         C_R_new = (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]
@@ -487,12 +482,13 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
         passes[moving & (delta < tol)] = it
         if passes.all():
             break
+    counts = ([[sum(d[key] for d in reuse.values()) for key in ("gmres_iterations", "builds")]
+               for reuse in work] if isinstance(work, list) else [(0, 0)] * B)
     return [StateSolution(C=C[:, b], C_R=C_R[b], v_field=v_field[b], v_inner=v_inner[b],
                           residual_history=history[b], converged=bool(passes[b]),
-                          iterations=int(passes[b]) or max_iter,
-                          gmres_iterations=int(counts[b, 0]),
-                          preconditioner_builds=int(counts[b, 1]), setup=setup)
-            for b in range(B)]
+                          iterations=int(passes[b]) or max_iter, gmres_iterations=its,
+                          preconditioner_builds=builds, setup=setup)
+            for b, (its, builds) in enumerate(counts)]
 
 
 def objective(control: ControlVector, setup: CollocationSetup,

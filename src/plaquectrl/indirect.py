@@ -42,7 +42,7 @@ class SingularJacobianError(np.linalg.LinAlgError):
     """Shooting Jacobian is singular; lists the near-degenerate columns."""
 
     def __init__(self, columns):
-        self.columns = list(columns)
+        self.columns = [int(c) for c in columns]
         super().__init__(f"singular shooting Jacobian (degenerate columns {self.columns})")
 
 
@@ -278,8 +278,9 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
             raise SingularJacobianError(bad)
         try:
             step = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError:
-            raise SingularJacobianError(np.where(col_norms < 1e-10)[0]) from None
+        except np.linalg.LinAlgError:  # the columns that carry J's null direction
+            null = np.linalg.svd(J)[2][-1]
+            raise SingularJacobianError(np.flatnonzero(np.abs(null) > 1e-8)) from None
         lam = 1.0
         for _ in range(MAX_DAMPING + 1):
             trial = s + lam * step

@@ -82,6 +82,19 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="cannot read"):
             cli.load_config("/nonexistent/run.cfg")
 
+    @pytest.mark.parametrize("text, line", [("N = 8\n[grid]\n", "line: 1"),
+                                            ("[grid]\nN = 8\nN8\n", "[line 3]")],
+                             ids=["no-section-header", "parsing-error"])
+    def test_parse_error_is_one_line(self, tmp_path, capsys, text, line):
+        f, outdir = tmp_path / "run.cfg", tmp_path / "out"
+        f.write_text(text)
+        code = cli.main(["solve-direct", "--config", str(f), "--output-dir", str(outdir)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("invalid input: config parse error")
+        assert str(f) in err and line in err
+        assert not outdir.exists()
+
     def test_main_exit_code_on_bad_config(self, capsys):
         for flags in (["--N", "bogus"], ["--k1", "abc"], ["--fp-tol", "nan"],
                       ["--grad-step", "0"], ["--sqp-max-iter", "-1"],

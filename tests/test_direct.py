@@ -419,7 +419,8 @@ def _systems(grids, setup, params):
     S, LH, F = grids
     for kind, (g1, G2), sources in (("L", LH, S[:2]), ("F", F, S[2:])):
         A = direct.assemble_operator(g1, G2, setup, params)
-        free = direct._solve_matrix_free(g1, G2, setup, params, sources, kind)
+        free = direct._solve_matrix_free(g1, G2, setup, params, sources, kind,
+                                         np.zeros_like(sources), {})
         k = len(sources)
         yield kind, A, sources.reshape(k, -1).T, free.reshape(k, -1).T
 
@@ -479,7 +480,7 @@ class TestMatrixFree:
         monkeypatch.setattr(direct, "GMRES_MAX_ITER", 5)
         with pytest.raises(direct.NonConvergenceError,
                            match="GMRES on the L collocation system stopped"):
-            direct._solve_matrix_free(*LH, s, P_SLOW, S[:2], "L")
+            direct._solve_matrix_free(*LH, s, P_SLOW, S[:2], "L", np.zeros_like(S[:2]), {})
 
     @pytest.mark.parametrize("name", ["L", "F"])
     def test_singular_operator_raises_a_named_error(self, name):
@@ -496,7 +497,7 @@ class TestMatrixFree:
         sources = S[:2].copy()
         sources[1, 3, 4] = np.nan
         with pytest.raises(direct.NonConvergenceError, match="residual nan"):
-            direct._solve_matrix_free(*LH, s, P, sources, "L")
+            direct._solve_matrix_free(*LH, s, P, sources, "L", np.zeros_like(sources), {})
 
     def test_non_finite_dense_source_raises(self, monkeypatch):
         # A NaN source of the batched dense solve was reported as a singular
@@ -509,12 +510,12 @@ class TestMatrixFree:
         sources[1, 0, 3, 4] = np.nan
         with pytest.raises(direct.NonConvergenceError,
                            match="L collocation system has non-finite input"):
-            direct._solve_fields(sources, LH, F, s, P, work, None)
+            direct._solve_fields(sources, LH, F, s, P, work, None, np.ones(1, bool))
         monkeypatch.setattr(direct, "assemble_operator",
                             lambda *args, out: np.zeros_like(out[0]))
         with pytest.raises(direct.SingularOperatorError,
                            match="singular L collocation operator"):
-            direct._solve_fields(S[:, None], LH, F, s, P, work, None)
+            direct._solve_fields(S[:, None], LH, F, s, P, work, None, np.ones(1, bool))
 
 
 class _Counted:
@@ -617,9 +618,9 @@ class TestMatrixFreeCounts:
         assert (st.gmres_iterations, st.preconditioner_builds) == (0, 0)
 
     def test_held_member_counts_its_own_passes(self):
-        # at tol 1e-11 the zero control converges a pass before the full one
-        # and is still solved while held; those later solves are not counted,
-        # so each member counts as if alone
+        # at tol 1e-11 the zero control converges a pass before the full one;
+        # the matrix-free path does not solve a held member again, so each
+        # member counts as if alone
         K, s, tol = P.Kbound, build_setup(10, 10), 1e-11
         segments = (np.zeros(10), np.full(10, K))
         batch = direct.fixed_point_batch(
@@ -629,6 +630,17 @@ class TestMatrixFreeCounts:
             ref = direct.fixed_point_solve(direct.ControlVector(x, K), s, P, tol=tol)
             assert ((got.gmres_iterations, got.preconditioner_builds)
                     == (ref.gmres_iterations, ref.preconditioner_builds))
+
+    def test_held_member_is_not_solved_again(self, monkeypatch):
+        # the batch above: GMRES runs L, H and F once per pass of each
+        # member's own, 3 x (38 + 39) runs, where solving the held zero
+        # control in the full one's last pass made 3 x (39 + 39)
+        s, tol = build_setup(10, 10), 1e-11
+        phi = np.stack([_nodal(x, s, P) for x in (np.zeros(10), np.full(10, P.Kbound))])
+        monkeypatch.setattr(direct, "_gmres", gmres := _Counted(direct._gmres))
+        batch = direct.fixed_point_batch(phi, s, P, tol=tol)
+        assert batch[0].iterations < batch[1].iterations
+        assert gmres.calls == 3 * sum(st.iterations for st in batch)
 
     def test_median_fit_at_32x32(self):
         # fitting the drift to the time mean took 772 iterations and 15 builds
@@ -648,7 +660,7 @@ def _gmres_system(setup, params, steps):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(direct, "_gmres", capture)
-        direct._solve_matrix_free(*LH, setup, params, S[:1], "L")
+        direct._solve_matrix_free(*LH, setup, params, S[:1], "L", np.zeros_like(S[:1]), {})
     return systems[0]
 
 
@@ -704,7 +716,7 @@ class TestWarmStart:
         s = build_setup(16, 16)
         _, LH, _ = _grids_after(_zero_control(16), s, P, 2)
         x0 = np.stack([cold[0].reshape(16, 16)] * 2)
-        assert not direct._solve_matrix_free(*LH, s, P, np.zeros((2, 16, 16)), "L", x0).any()
+        assert not direct._solve_matrix_free(*LH, s, P, np.zeros((2, 16, 16)), "L", x0, {}).any()
 
     def test_warm_start_saves_matvecs(self, monkeypatch):
         # The previous iterate as the guess: the same passes and J as cold

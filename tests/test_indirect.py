@@ -157,6 +157,24 @@ class TestShootingResidual:
         assert np.max(np.abs(r2 - 2.0 * r1)) < 1e-10
 
 
+def _affine_residual(monkeypatch, A, c):
+    """Shooting residual A s - c on a 2 x 2 setup: its setup, parameters and
+    the sweeps that ``_shoot`` returned, by shooting-vector bytes, each with
+    a trajectory of its own."""
+    s, pd = build_setup(2, 2), P.decoupled()
+    yend, grid, traj, phi, switching = indirect._shoot(
+        indirect.ShootingVector(np.zeros(7)), s, pd, 10)[1]
+    sweeps = {}
+
+    def shoot(sv, *args):
+        sweeps[sv.s.tobytes()] = (yend, grid, traj + len(sweeps), phi, switching)
+        return A @ sv.s - c, sweeps[sv.s.tobytes()]
+
+    monkeypatch.setattr(indirect, "_shoot", shoot)
+    monkeypatch.setattr(indirect, "shooting_residual", lambda sv, *args: A @ sv.s - c)
+    return s, pd, sweeps
+
+
 class TestSolveIndirect:
     def test_decoupled_solve(self):
         s = build_setup(4, 4)
@@ -277,6 +295,35 @@ class TestSolveIndirect:
         sol = indirect.solve_indirect(s, pd, n_steps=10)
         assert not sol.converged and sol.newton_iterations == 1
         assert np.array_equal(sol.shooting.s, np.zeros(7))
+
+    def test_accepted_newton_step(self, monkeypatch):
+        # r(s) = 2 s - c: the full step from s = 0 is accepted and converges
+        c = 1e-3 * np.cos(np.arange(7))
+        s, pd, sweeps = _affine_residual(monkeypatch, 2.0 * np.eye(7), c)
+        sol = indirect.solve_indirect(s, pd, n_steps=10)
+        assert sol.converged and sol.newton_iterations == 1
+        assert np.max(np.abs(sol.shooting.s - 0.5 * c)) <= 1e-15
+        assert sol.residual_norm <= 1e-15
+        # the trajectory is the accepted trial's sweep, not the start's
+        traj = sweeps[sol.shooting.s.tobytes()][2]
+        assert len(sweeps) == 2 and not np.array_equal(traj, sweeps[np.zeros(7).tobytes()][2])
+        assert np.array_equal(sol.R, traj[:, 6 * 2])
+        assert np.array_equal(sol.blocks, traj[:, :6 * 2].reshape(-1, 6, 2))
+
+    @pytest.mark.parametrize("column, copy, degenerate", [(2, None, [2]), (4, 3, [3, 4])],
+                             ids=["zero-column", "equal-columns"])
+    def test_singular_jacobian_names_its_columns(self, monkeypatch, column, copy,
+                                                 degenerate):
+        # a column of J that is zero, or equal to another, so that
+        # np.linalg.solve fails on it: the columns of J's null direction
+        A = 2.0 * np.eye(7)
+        A[:, column] = 0.0 if copy is None else A[:, copy]
+        s, pd, _ = _affine_residual(monkeypatch, A, 1e-3 * np.ones(7))
+        with pytest.raises(indirect.SingularJacobianError) as err:
+            indirect.solve_indirect(s, pd, n_steps=10)
+        assert err.value.columns == degenerate
+        assert all(type(c) is int for c in err.value.columns)
+        assert str(err.value).endswith(f"(degenerate columns {degenerate})")
 
     def test_trajectory_shapes(self):
         s = build_setup(4, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plaquectrl.nlp import (
+    MAX_BACKTRACKS,
     NlpOptions,
     NlpProblem,
     fd_gradient,
@@ -162,6 +163,23 @@ class TestSqpMinimize:
         assert r.x[0] == 0.0 and r.iterations == max_iter
         assert r.converged is True
         assert r.message == "projected gradient below tolerance"
+
+    def test_line_search_stall_keeps_the_start(self):
+        # the first call, x0 and its FD probes, reads f = -sum(x - x0), a
+        # descent direction; every line-search point then reads 1 > f(x0) = 0
+        x0, calls = np.array([0.5, 0.5]), []
+
+        def f(X):
+            calls.append(X)
+            return -np.sum(X - x0, axis=1) if len(calls) == 1 else np.ones(len(X))
+
+        p = NlpProblem(dimension=2, lower=np.zeros(2), upper=np.ones(2), objective=f)
+        r = sqp_minimize(p, x0)
+        assert r.message == "line search stalled" and r.converged is False
+        assert np.array_equal(r.x, x0) and r.fun == 0.0
+        assert r.iterations == 1 and len(r.trace) == 1
+        assert r.evaluations == 1 + 2 * 2 + MAX_BACKTRACKS
+        assert r.oracle_calls == len(calls) == 1 + MAX_BACKTRACKS
 
     def test_infeasible_start_projected(self):
         p = _problem(lambda x: float((x[0] - 0.3) ** 2), [0.0], [1.0])
