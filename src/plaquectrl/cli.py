@@ -137,7 +137,11 @@ def load_config(path=None, overrides=None) -> RunConfig:
     for key in ("fp_tol", "sqp_tol", "shoot_tol", "grad_step"):
         if not 0.0 < solver[key] < math.inf:
             raise ConfigError(f"{key} must be finite and > 0")
-    _parse_list("sweep_pairs", run["sweep_pairs"])
+    for L0, H0 in _parse_list("sweep_pairs", run["sweep_pairs"]):
+        try:
+            dataclasses.replace(params, L0=L0, H0=H0)
+        except ValueError as exc:
+            raise ConfigError(f"sweep pair {L0}:{H0}: {exc}") from None
     Ne, Me = grid["Ne"], grid["Me"]
     for N, M in _parse_list("study_grids", run["study_grids"]):
         if not (1 <= N < Ne and 1 <= M < Me):
@@ -207,7 +211,7 @@ def _direct(config: RunConfig, setup, outdir: Path, summary: dict):
         "sqp_evaluations": result.evaluations,
         "sqp_oracle_calls": result.oracle_calls,
     }
-    return 0 if (state.converged and result.converged) else 1, best, state
+    return 0 if result.converged else 1, best, state
 
 
 def _indirect(config: RunConfig, setup, outdir: Path, summary: dict):
@@ -216,10 +220,10 @@ def _indirect(config: RunConfig, setup, outdir: Path, summary: dict):
                                   max_iter=sv["shoot_max_iter"],
                                   n_steps=sv["rk4_steps"])
     _write_route("indirect", outdir, sol.time_grid, setup.rho,
-                 {w: sol.field_nodes(w).T for w in "LHF"}, sol.R, eps,
+                 {w: sol.field_nodes(w) for w in "LHF"}, sol.R, eps,
                  _control_runs(sol.time_grid, sol.phi))
     summary["indirect"] = {
-        "objective": 1.0 - float(sol.R[-1]) - eps,
+        "objective": sol.objective,
         "final_radius_physical": float(sol.R[-1]) + eps,
         "converged": sol.converged,
         "newton_iterations": sol.newton_iterations,
@@ -241,36 +245,24 @@ def _run_compare(config: RunConfig, outdir: Path, summary: dict) -> int:
     return max(code_d, code_i)
 
 
-def _study_table(rows, ref, params: ModelParameters) -> str:
-    """Plain-text table of a convergence study, one row per grid, against grid ``ref``."""
-    lines = [
-        f"self-convergence study  (reference grid {ref[0]} x {ref[1]}; "
-        f"L0={params.L0}, H0={params.H0}, T={params.T})",
-        f"{'N':>4} {'M':>4} {'Einf(L)':>12} {'Einf(H)':>12} {'Einf(F)':>12} "
-        f"{'E2(L)':>12} {'E(J)':>12}",
-    ]
-    for r in rows:
-        if r.failed:
-            lines.append(f"{r.N:>4} {r.M:>4}  failed: {r.message}")
-        else:
-            lines.append(
-                f"{r.N:>4} {r.M:>4} {r.Einf['L']:>12.4e} {r.Einf['H']:>12.4e} "
-                f"{r.Einf['F']:>12.4e} {r.E2['L']:>12.4e} {r.EJ:>12.4e}")
-    return "\n".join(lines) + "\n"
-
-
 def _run_convergence(config: RunConfig, outdir: Path, summary: dict) -> int:
     grids = _parse_list("study_grids", config.run["study_grids"])
     ref = (config.grid["Ne"], config.grid["Me"])
     rows = verify.convergence_study(config.parameters, grids, reference_grid=ref,
                                     fp_tol=config.solver["fp_tol"],
                                     fp_max_iter=config.solver["fp_max_iter"])
-    _write_csv(outdir / "convergence.csv",
-               "N,M,Einf_L,Einf_H,Einf_F,E2_L,E2_H,E2_F,E_J,status",
-               ([r.N, r.M] + ([""] * 7 + [f"failed: {r.message}"] if r.failed else
-                             [r.Einf[u] for u in "LHF"] + [r.E2[u] for u in "LHF"]
-                             + [r.EJ, "ok"]) for r in rows))
-    (outdir / "convergence.txt").write_text(_study_table(rows, ref, config.parameters))
+    header = "N,M,Einf_L,Einf_H,Einf_F,E2_L,E2_H,E2_F,E_J,status"
+    table = [[r.N, r.M] + ([""] * 7 + [f"failed: {r.message}"] if r.failed else
+                          [r.Einf[u] for u in "LHF"] + [r.E2[u] for u in "LHF"]
+                          + [r.EJ, "ok"]) for r in rows]
+    _write_csv(outdir / "convergence.csv", header, table)
+    cells = [header.split(",")] + [list(map(_fmt, r)) for r in table]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    p = config.parameters
+    (outdir / "convergence.txt").write_text("\n".join(
+        [f"self-convergence study  (reference grid {ref[0]} x {ref[1]}; "
+         f"L0={p.L0}, H0={p.H0}, T={p.T})"]
+        + [" ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells]) + "\n")
     summary["convergence"] = [
         {"N": r.N, "M": r.M, "failed": r.failed, "cpu_seconds": r.cpu_seconds,
          "Einf_L": None if r.failed else r.Einf["L"]}

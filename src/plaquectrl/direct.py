@@ -131,9 +131,10 @@ class StateSolution:
 
     ``C`` (3, N, M) stacks the space-basis x time-basis coefficient matrices
     of L, H and F, and ``C_R`` (M,) the time coefficients of R; the last time
-    node is t = 1, so R(1) is the last of :meth:`radius_nodes`.  ``v_field``
-    holds nodal velocity values per time node, with the boundary trace and
-    slope at rho = -1 alongside.  ``gmres_iterations`` and
+    node is t = 1, so R(1) is the last of :meth:`radius_nodes`, and
+    ``objective`` is the terminal thickness 1 - R(1) - eps.  ``v_field``
+    holds the nodal velocity (N, M) and ``v_inner`` (M,) its trace at
+    rho = -1.  ``gmres_iterations`` and
     ``preconditioner_builds`` total the matrix-free work of the solve's
     passes, L/H and F together (:func:`_solve_matrix_free`); both are 0 on
     the dense path.
@@ -148,6 +149,7 @@ class StateSolution:
     iterations: int
     gmres_iterations: int
     preconditioner_builds: int
+    objective: float
     setup: CollocationSetup = dc_field(repr=False, default=None)
 
     def field_nodes(self, which: str) -> np.ndarray:
@@ -487,7 +489,9 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     return [StateSolution(C=C[:, b], C_R=C_R[b], v_field=v_field[b], v_inner=v_inner[b],
                           residual_history=history[b], converged=bool(passes[b]),
                           iterations=int(passes[b]) or max_iter, gmres_iterations=its,
-                          preconditioner_builds=builds, setup=setup)
+                          preconditioner_builds=builds,
+                          objective=1.0 - float((C_R[b] @ setup.D0t)[-1]) - params.eps,
+                          setup=setup)
             for b, (its, builds) in enumerate(counts)]
 
 
@@ -500,7 +504,7 @@ def objective(control: ControlVector, setup: CollocationSetup,
     """
     state = fixed_point_solve(control, setup, params, tol=tol, max_iter=max_iter)
     require_converged(state, "objective")
-    return 1.0 - state.final_radius() - params.eps
+    return state.objective
 
 
 def solve_direct(setup: CollocationSetup, params: ModelParameters,
@@ -536,7 +540,7 @@ def solve_direct(setup: CollocationSetup, params: ModelParameters,
             for k, state in zip(new, batch):
                 require_converged(state, "objective")
                 states[k] = state
-        return np.array([1.0 - states[k].final_radius() - params.eps for k in keys])
+        return np.array([states[k].objective for k in keys])
 
     problem = NlpProblem(dimension=M, lower=np.zeros(M),
                          upper=np.full(M, params.Kbound),

@@ -68,7 +68,8 @@ class ShootingVector:
 
 @dataclass
 class AdjointSolution:
-    """Full trajectories of one converged (or best-effort) shooting solve."""
+    """Full trajectories of one converged (or best-effort) shooting solve,
+    and the terminal thickness ``objective`` = 1 - R(1) - eps they reach."""
 
     time_grid: np.ndarray
     blocks: np.ndarray  # (steps+1, 6, N) coefficients of L, H, F, P_L, P_H, P_F
@@ -79,12 +80,13 @@ class AdjointSolution:
     residual_norm: float
     newton_iterations: int
     converged: bool
+    objective: float
     setup: CollocationSetup = dc_field(repr=False, default=None)
 
     def field_nodes(self, which: str) -> np.ndarray:
-        """Nodal trajectory (steps+1, N) of one state or adjoint field."""
+        """Nodal trajectory (N, steps+1), space x time, of one state or adjoint field."""
         k = (model.FIELDS + model.ADJOINTS).index(which)
-        return self.blocks[:, k] @ self.setup.D0r
+        return (self.blocks[:, k] @ self.setup.D0r).T
 
 
 def ode_rhs(t, y, setup: CollocationSetup, pts: model.Points,
@@ -299,4 +301,5 @@ def solve_indirect(setup: CollocationSetup, params: ModelParameters,
         time_grid=grid, blocks=traj[:, :6 * N].reshape(-1, 6, N),
         R=traj[:, 6 * N], phi=phi_samples, switching_times=switching,
         shooting=ShootingVector(s), residual_norm=best_norm, newton_iterations=it,
-        converged=converged, setup=setup)
+        converged=converged, objective=1.0 - float(traj[-1, 6 * N]) - params.eps,
+        setup=setup)

@@ -74,6 +74,16 @@ class TestConfig:
             with pytest.raises(cli.ConfigError):
                 cli.load_config(overrides=overrides)
 
+    @pytest.mark.parametrize("pairs", ["nan:0.005", "-0.01:0.005", "0.012:0.002541"],
+                             ids=["nan", "negative-L0", "delta-plus-H0"])
+    def test_sweep_pair_breaking_a_parameter_invariant(self, tmp_path, capsys, pairs):
+        outdir = tmp_path / "out"
+        code = cli.main(["sweep", f"--sweep-pairs={pairs}", "--output-dir", str(outdir)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"invalid input: sweep pair {pairs.split(':')[0]}")
+        assert not outdir.exists()
+
     def test_parameter_guard_is_surfaced(self):
         with pytest.raises(cli.ConfigError, match="delta"):
             cli.load_config(overrides={"delta": "-0.005", "H0": "0.005"})
@@ -257,7 +267,9 @@ class TestCommands:
         lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("N,M,Einf_L")
-        assert "self-convergence" in (tmp_path / "convergence.txt").read_text()
+        title, *table = (tmp_path / "convergence.txt").read_text().splitlines()
+        assert title.startswith("self-convergence study  (reference grid 4 x 4;")
+        assert [line.split() for line in table] == [line.split(",") for line in lines]
 
     def test_failed_study_rows_are_written(self, tmp_path):
         # default parameters: one line per row, failed or not
@@ -319,11 +331,12 @@ class TestCommands:
         assert len(lines) == 1 + 101
 
     def test_failed_sweep_row_formats_like_a_good_row(self, tmp_path):
-        code = _run_main(tmp_path, "sweep",
-                         extra=["--sweep-pairs=-1:0.005,0.01:0.005"])
+        # at the default rates L0 = 10 occludes; the next pair solves
+        code = cli.main(["sweep", "--output-dir", str(tmp_path), "--N", "4", "--M", "4",
+                         "--sweep-pairs", "10:0.005,0.01:0.005"])
         assert code == 1
         rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()))
-        assert rows[1][:2] == ["-1", "0.005"]
+        assert rows[1][:2] == ["10", "0.005"]
         assert rows[1][2:5] == ["", "", ""] and rows[1][5].startswith("failed: ")
         assert rows[2][:2] == ["0.01", "0.005"] and rows[2][5] == "ok"
 

@@ -1,7 +1,9 @@
 """Fixed-point collocation solver and direct optimization."""
 
 import inspect
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +244,21 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="phi must be a finite"):
             direct.fixed_point_batch(phi, build_setup(4, 4), P)
 
+    def test_non_finite_update_names_its_pass(self, monkeypatch):
+        passes, solve = [], direct._solve_fields
+
+        def nan_at_pass_3(*args):
+            X = solve(*args)
+            passes.append(1)
+            if len(passes) == 3:
+                X[:, 1] = np.nan  # member 1 is still moving: 49 passes at 4x4
+            return X
+
+        monkeypatch.setattr(direct, "_solve_fields", nan_at_pass_3)
+        with pytest.raises(direct.NonConvergenceError,
+                           match="^non-finite update at iteration 3$"):
+            direct.fixed_point_batch(np.zeros((2, 4)), build_setup(4, 4), P)
+
     def test_nan_tolerance_rejected(self):
         # a NaN tol once stopped every member after one pass as converged
         with pytest.raises(ValueError):
@@ -286,6 +303,28 @@ class TestSolveDirect:
         control, _, value, _ = direct.solve_direct(s, p)
         assert np.all(control.segments == 0.0)
         assert value == direct.objective(_zero_control(8), s, p)
+
+    def test_states_carry_the_terminal_thickness(self, monkeypatch):
+        # J is set where each state is built, bit for bit what final_radius
+        # gives: on two fixedpoint-32x32 pool controls and every state of a
+        # default 8x8 optimization
+        refs = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
+        pool = json.loads(refs.read_text())["fixedpoint-32x32"]["controls"][:2]
+        s32 = build_setup(32, 32)
+        states = [direct.fixed_point_solve(direct.ControlVector(np.array(c), P.Kbound),
+                                           s32, P) for c in pool]
+        batch = direct.fixed_point_batch
+
+        def collecting(*args, **kw):
+            got = batch(*args, **kw)
+            states.extend(got)
+            return got
+
+        monkeypatch.setattr(direct, "fixed_point_batch", collecting)
+        direct.solve_direct(build_setup(8, 8), P)
+        assert len(states) > 2
+        for st in states:
+            assert st.objective == 1.0 - st.final_radius() - P.eps
 
     def test_unconverged_probe_raises(self, monkeypatch):
         batch = direct.fixed_point_batch

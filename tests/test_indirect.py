@@ -145,6 +145,12 @@ class TestShootingResidual:
             indirect.ShootingVector(np.zeros(19)), s, P, n_steps=200)
         assert np.max(np.abs(res)) < 1e-12
 
+    def test_vector_sized_for_another_grid_raises(self):
+        # a caller's mistake, not a blown-up sweep: no sentinel is returned
+        with pytest.raises(ValueError, match="sized for N = 4, setup has N = 8"):
+            indirect.shooting_residual(indirect.ShootingVector(np.zeros(13)),
+                                       build_setup(8, 8), P)
+
     def test_decoupled_linearity(self):
         s = build_setup(4, 4)
         pd = P.decoupled()
@@ -325,12 +331,17 @@ class TestSolveIndirect:
         assert all(type(c) is int for c in err.value.columns)
         assert str(err.value).endswith(f"(degenerate columns {degenerate})")
 
+    def test_objective_is_the_terminal_thickness(self):
+        sol = indirect.solve_indirect(build_setup(4, 4), P, n_steps=100)
+        assert sol.R[-1] > 0.0
+        assert sol.objective == 1.0 - float(sol.R[-1]) - P.eps
+
     def test_trajectory_shapes(self):
         s = build_setup(4, 4)
         sol = indirect.solve_indirect(s, P, n_steps=100)
         assert sol.time_grid.shape == (101,)
         assert sol.blocks[:, 0].shape == (101, 4)
-        assert sol.field_nodes("L").shape == (101, 4)
+        assert sol.field_nodes("L").shape == (4, 101)
         assert sol.phi.shape == (101,)
 
 

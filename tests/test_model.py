@@ -39,6 +39,14 @@ class TestParameters:
         with pytest.raises(ValueError, match="finite"):
             ModelParameters(T=np.nan)
 
+    @pytest.mark.parametrize("name, value, match", [
+        ("mu1", -0.01, "parameter mu1 must be nonnegative"),
+        ("T", 0.0, "T must be positive"), ("T", -1.0, "T must be positive"),
+        ("Kbound", -0.5, "Kbound must be nonnegative")])
+    def test_sign_checks(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            replace(P, **{name: value})
+
     def test_decoupled_zeroes_every_coupling_rate(self):
         d = P.decoupled()
         assert d.k1 == d.r1 == d.r2 == d.lam == d.mu1 == d.mu2 == 0.0

@@ -92,6 +92,11 @@ class TestNodes:
                     + jacobi_eval(M + 1, 0.0, 0.0, -nodes, 0))
         assert np.max(np.abs(residual)) < 1e-12
 
+    @pytest.mark.parametrize("nodes", [legendre_gauss_nodes, legendre_gauss_radau_nodes])
+    def test_negative_degree_rejected(self, nodes):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            nodes(-1)
+
     def test_gauss_matches_numpy_leggauss(self):
         ref, _ = npleg.leggauss(9)
         assert np.allclose(legendre_gauss_nodes(8), np.sort(ref), atol=1e-13)
