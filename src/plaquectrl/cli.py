@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import direct, indirect, verify
-from .nlp import NlpOptions
+from .nlp import NlpOptions, projected_gradient
 from .params import ModelParameters
 from .spectral import build_setup
 
@@ -42,7 +42,7 @@ SECTIONS = {
     "solver": {
         "fp_tol": direct.FP_TOL, "fp_max_iter": direct.FP_MAX_ITER,
         "sqp_tol": NlpOptions.tol, "sqp_max_iter": NlpOptions.max_iter,
-        "grad_step": NlpOptions.grad_step, "shoot_tol": indirect.SHOOT_TOL,
+        "shoot_tol": indirect.SHOOT_TOL,
         "shoot_max_iter": indirect.SHOOT_MAX_ITER, "rk4_steps": indirect.RK4_STEPS,
     },
     "run": {
@@ -134,7 +134,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
                      ("shoot_max_iter", 0), ("rk4_steps", indirect.RK4_MIN_STEPS)):
         if {**grid, **solver}[key] < low:
             raise ConfigError(f"{key} must be >= {low}")
-    for key in ("fp_tol", "sqp_tol", "shoot_tol", "grad_step"):
+    for key in ("fp_tol", "sqp_tol", "shoot_tol"):
         if not 0.0 < solver[key] < math.inf:
             raise ConfigError(f"{key} must be finite and > 0")
     for L0, H0 in _parse_list("sweep_pairs", run["sweep_pairs"]):
@@ -181,8 +181,7 @@ def _control_runs(time_grid, phi):
 
 
 def _nlp_options(solver: dict) -> NlpOptions:
-    return NlpOptions(grad_step=solver["grad_step"], tol=solver["sqp_tol"],
-                      max_iter=solver["sqp_max_iter"])
+    return NlpOptions(tol=solver["sqp_tol"], max_iter=solver["sqp_max_iter"])
 
 
 def _setup(config: RunConfig):
@@ -190,10 +189,10 @@ def _setup(config: RunConfig):
 
 
 def _direct(config: RunConfig, setup, outdir: Path, summary: dict):
-    sv, eps = config.solver, config.parameters.eps
+    sv, p = config.solver, config.parameters
+    eps = p.eps
     best, state, value, result = direct.solve_direct(
-        setup, config.parameters, _nlp_options(sv),
-        fp_tol=sv["fp_tol"], fp_max_iter=sv["fp_max_iter"])
+        setup, p, _nlp_options(sv), fp_tol=sv["fp_tol"], fp_max_iter=sv["fp_max_iter"])
     edges = best.partition
     _write_route("direct", outdir, setup.t, setup.rho,
                  {w: state.field_nodes(w) for w in "LHF"}, state.radius_nodes(),
@@ -210,6 +209,12 @@ def _direct(config: RunConfig, setup, outdir: Path, summary: dict):
         "sqp_message": result.message,
         "sqp_evaluations": result.evaluations,
         "sqp_oracle_calls": result.oracle_calls,
+        # the returned state's residual, and the control's first-order certificate
+        "residual": direct.residual_norm(state, p),
+        "projected_gradient_max": float(np.max(np.abs(projected_gradient(
+            result.x, result.gradient, 0.0, p.Kbound)))),
+        "segments_at_0": int(np.sum(best.segments == 0.0)),
+        "segments_at_Kbound": int(np.sum(best.segments == p.Kbound)),
     }
     return 0 if result.converged else 1, best, state
 

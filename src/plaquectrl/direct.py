@@ -10,9 +10,11 @@ and each operator as the (diffusion g1, drift G2) pair that
 fixed point runs on a batch of nodal controls at once
 (:func:`fixed_point_batch`); a single solve is a batch of one.  The scalar
 objective 1 - R(1) - eps over piecewise-constant controls is then handed to
-the SQP driver in :mod:`plaquectrl.nlp` as an oracle over batches: each
-gradient's finite-difference probes are one batch, and :func:`solve_direct`
-solves each distinct nodal control once.
+the SQP driver in :mod:`plaquectrl.nlp` as an oracle over batches, with its
+exact gradient (:func:`gradient`): one dense solve on the Jacobian of the
+collocation residual (:func:`residual`) at the state the oracle already
+solved, by the implicit-function theorem.  :func:`solve_direct` solves each
+distinct nodal control once.
 
 The collocation operator is written once: the time, drift and diffusion
 terms of a map on batches of coefficient matrices
@@ -67,6 +69,12 @@ GMRES_RTOL = 1e-13
 GMRES_RESTART = 200
 GMRES_MAX_ITER = 600
 
+# The residual Jacobian's columns are central differences with step
+# JVP_STEP (1 + ||Z||_inf), JVP_CHUNK directions (2 JVP_CHUNK batch members)
+# per residual call.
+JVP_STEP = 1e-6
+JVP_CHUNK = 16
+
 
 class NonConvergenceError(RuntimeError):
     """Fixed-point iteration produced a non-finite update or did not converge,
@@ -88,6 +96,10 @@ class SingularOperatorError(np.linalg.LinAlgError):
         self.name = name
         self.cond = cond
         super().__init__(f"singular {name} collocation operator (cond ~ {cond:.3e})")
+
+
+class JacobianError(np.linalg.LinAlgError):
+    """The collocation residual's Jacobian at a state is singular or not finite."""
 
 
 @dataclass(frozen=True)
@@ -118,11 +130,14 @@ class ControlVector:
 
     def values_at(self, t) -> np.ndarray:
         """Control value at each time in ``t`` (half-open segment lookup)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        M = self.segments.size
-        idx = np.floor((t + 1.0) * M / 2.0).astype(int)
-        idx = np.clip(idx, 0, M - 1)
-        return self.segments[idx]
+        return self.segments[segment_index(t, self.segments.size)]
+
+
+def segment_index(t, M: int) -> np.ndarray:
+    """Segment of each time in ``t`` on the uniform partition of [-1, 1] into
+    M segments (:class:`ControlVector`)."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return np.clip(np.floor((t + 1.0) * M / 2.0).astype(int), 0, M - 1)
 
 
 @dataclass
@@ -130,9 +145,10 @@ class StateSolution:
     """Converged (or best-effort) fields of one fixed-point solve.
 
     ``C`` (3, N, M) stacks the space-basis x time-basis coefficient matrices
-    of L, H and F, and ``C_R`` (M,) the time coefficients of R; the last time
-    node is t = 1, so R(1) is the last of :meth:`radius_nodes`, and
-    ``objective`` is the terminal thickness 1 - R(1) - eps.  ``v_field``
+    of L, H and F, ``C_R`` (M,) the time coefficients of R and ``phi`` (M,)
+    the nodal control they were solved for; the last time node is t = 1, so
+    R(1) is the last of :meth:`radius_nodes`, and ``objective`` is the
+    terminal thickness 1 - R(1) - eps.  ``v_field``
     holds the nodal velocity (N, M) and ``v_inner`` (M,) its trace at
     rho = -1.  ``gmres_iterations`` and
     ``preconditioner_builds`` total the matrix-free work of the solve's
@@ -142,6 +158,7 @@ class StateSolution:
 
     C: np.ndarray
     C_R: np.ndarray
+    phi: np.ndarray
     v_field: np.ndarray
     v_inner: np.ndarray
     residual_history: list
@@ -398,6 +415,100 @@ def _gmres(apply, precondition, b, name, x0):
     return x, done
 
 
+def _frame(pts, C, C_R, setup):
+    """The :class:`~plaquectrl.model.Frame` at the batch points ``pts`` of the
+    iterate C (3, B, N, M), C_R (B, M): R (B, 1, M) at the time nodes, L, H, F
+    at the nodes."""
+    return model.Frame(pts, C_R[:, None] @ setup.D0t, setup.field_values(C))
+
+
+def _boundary(v_inner, setup, params):
+    """C_R (B, M) of the boundary ODE (2/T) R' = v(-1, t) for the inner
+    velocities ``v_inner`` (B, M)."""
+    # One row product per member, never one product over the batch, so
+    # that no member's rounding depends on the batch it is in.
+    return (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]
+
+
+def residual(C, C_R, phi, setup: CollocationSetup, params: ModelParameters):
+    """Nodal residuals of the collocation equations at a batch of iterates.
+
+    C (3, B, N, M) and C_R (B, M) are an iterate as :func:`fixed_point_batch`
+    holds it, phi (B, M) its nodal controls.  Returns ``(F, F_R, S)``:
+    F = A(Z) C - S(Z) (3, B, N, M) for L, H and F, with the operators and
+    sources of a fixed-point pass at the iterate Z = (C, C_R) itself;
+    F_R = C_R - (T/2) v(-1) D1t^-T (B, M) for R; and the sources S, the scale
+    the field residuals are read against.  A fixed point of the pass is a
+    zero of (F, F_R).
+    """
+    fr = _frame(model.Points(setup.rho[None, :, None], params), C, C_R, setup)
+    v_field, v_inner, _, _ = model.velocity_solve(fr, setup)
+    S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])
+    AC = np.concatenate([_apply_operator(*LH, setup, params, C[:2]),
+                         _apply_operator(*F, setup, params, C[2:])])
+    return AC - S, C_R - _boundary(v_inner, setup, params), S
+
+
+def residual_norm(state: StateSolution, params: ModelParameters) -> float:
+    """Sup-norm of :func:`residual` at ``state`` relative to the sup-norm of
+    its sources S (absolute where S is zero)."""
+    F, F_R, S = residual(state.C[:, None], state.C_R[None], state.phi[None],
+                         state.setup, params)
+    top, scale = max(np.abs(F).max(), np.abs(F_R).max()), np.abs(S).max()
+    return float(top / scale if scale > 0.0 else top)
+
+
+def _jacobian(state, setup, params):
+    """(dF/dZ | dF/dphi)' at ``state``, (n + M, n) with n unknowns: row d is
+    the central difference of the flattened (F, F_R) of :func:`residual` in
+    direction d of z = (C, C_R, phi) flattened, JVP_CHUNK directions per call."""
+    N, M = setup.N, setup.M
+    z = np.concatenate([state.C.ravel(), state.C_R, state.phi])
+    n = z.size - M
+    h = JVP_STEP * (1.0 + np.abs(z[:n]).max())
+    jac = np.empty((n + M, n))
+    for d0 in range(0, n + M, JVP_CHUNK):
+        d = np.arange(d0, min(d0 + JVP_CHUNK, n + M))
+        k = len(d)
+        W = np.tile(z, (2 * k, 1))
+        W[np.arange(k), d] += h
+        W[np.arange(k, 2 * k), d] -= h
+        F, F_R, _ = residual(W[:, :n - M].reshape(2 * k, 3, N, M).swapaxes(0, 1),
+                             W[:, n - M:n], W[:, n:], setup, params)
+        out = np.hstack([F.swapaxes(0, 1).reshape(2 * k, -1), F_R])
+        jac[d] = (out[:k] - out[k:]) / (2.0 * h)
+    return jac
+
+
+def gradient(state: StateSolution, setup: CollocationSetup,
+             params: ModelParameters) -> np.ndarray:
+    """Exact gradient of J = 1 - R(1) - eps over the M control segments at ``state``.
+
+    By the implicit-function theorem at the discrete solution Z = (C, C_R)
+    of F(Z, phi) = 0 (:func:`residual`): the columns of dF/dZ and dF/dphi
+    are central differences of the residual (:func:`_jacobian`), one dense
+    solve of dF/dZ dZ = -dF/dphi gives the sensitivities, and
+    dJ/dphi = -D0t[:, -1] . dC_R.  Segment i then sums the nodes that
+    :meth:`ControlVector.values_at` reads it at (:func:`segment_index`), so
+    a segment that holds no time node reads exactly 0.  Raises
+    :class:`JacobianError` on a singular or non-finite Jacobian.
+    """
+    M = setup.M
+    jac = _jacobian(state, setup, params)
+    n = jac.shape[1]
+    if not np.isfinite(jac).all():
+        raise JacobianError("non-finite collocation residual Jacobian")
+    try:
+        dZ = np.linalg.solve(jac[:n].T, -jac[n:].T)
+        if not np.isfinite(dZ).all():
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise JacobianError(f"singular collocation residual Jacobian (cond ~ "
+                            f"{np.linalg.cond(jac[:n]):.3e})") from None
+    dJ = -setup.D0t[:, -1] @ dZ[n - M:]
+    return np.bincount(segment_index(setup.t, M), weights=dJ, minlength=M)
+
+
 def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
                       params: ModelParameters, tol: float = FP_TOL,
                       max_iter: int = FP_MAX_ITER) -> StateSolution:
@@ -445,8 +556,7 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
     C = np.zeros((3, B, N, M))  # L, H, F coefficient matrices
     C_R = np.zeros((B, M))
     pts = model.Points(setup.rho[None, :, None], params)
-    # The frame of the iterate: R (B, 1, M) at the time nodes, L, H, F at the nodes
-    fr = model.Frame(pts, np.zeros((B, 1, M)), np.zeros((3, B, N, M)))
+    fr = _frame(pts, C, C_R, setup)
     v_field, v_inner = np.zeros((B, N, M)), np.zeros((B, M))
     last, omega = np.full(B, np.inf), np.ones(B)  # previous update delta, blend weight
     passes = np.zeros(B, dtype=int)  # pass each member converged at, 0 while moving
@@ -461,9 +571,7 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
         S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])
         moving = passes == 0
         C_new = _solve_fields(S, LH, F, setup, params, work, C, moving)
-        # One row product per member, never one product over the batch, so
-        # that no member's rounding depends on the batch it is in.
-        C_R_new = (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]
+        C_R_new = _boundary(v_inner, setup, params)
         delta = np.maximum(np.abs(C_new - C).max(axis=(0, 2, 3)),
                            np.abs(C_R_new - C_R).max(axis=1))
         if not np.all(np.isfinite(delta[moving])):
@@ -479,15 +587,16 @@ def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
         w = omega[:, None, None]
         C = np.where(moving[:, None, None], (1.0 - w) * C + w * C_new, C)
         C_R = np.where(moving[:, None], (1.0 - w[:, 0]) * C_R + w[:, 0] * C_R_new, C_R)
-        fr = model.Frame(pts, C_R[:, None] @ setup.D0t, setup.field_values(C))
+        fr = _frame(pts, C, C_R, setup)
         v_field, v_inner, _, _ = model.velocity_solve(fr, setup)
         passes[moving & (delta < tol)] = it
         if passes.all():
             break
     counts = ([[sum(d[key] for d in reuse.values()) for key in ("gmres_iterations", "builds")]
                for reuse in work] if isinstance(work, list) else [(0, 0)] * B)
-    return [StateSolution(C=C[:, b], C_R=C_R[b], v_field=v_field[b], v_inner=v_inner[b],
-                          residual_history=history[b], converged=bool(passes[b]),
+    return [StateSolution(C=C[:, b], C_R=C_R[b], phi=phi[b], v_field=v_field[b],
+                          v_inner=v_inner[b], residual_history=history[b],
+                          converged=bool(passes[b]),
                           iterations=int(passes[b]) or max_iter, gmres_iterations=its,
                           preconditioner_builds=builds,
                           objective=1.0 - float((C_R[b] @ setup.D0t)[-1]) - params.eps,
@@ -509,7 +618,8 @@ def objective(control: ControlVector, setup: CollocationSetup,
 
 def solve_direct(setup: CollocationSetup, params: ModelParameters,
                  nlp_options: NlpOptions | None = None,
-                 fp_tol: float = FP_TOL, fp_max_iter: int = FP_MAX_ITER):
+                 fp_tol: float = FP_TOL, fp_max_iter: int = FP_MAX_ITER,
+                 x0_state: StateSolution | None = None):
     """Minimize the terminal thickness over the control box [0, Kbound]^M.
 
     The SQP oracle maps a batch of control vectors to their objectives.  The
@@ -517,7 +627,10 @@ def solve_direct(setup: CollocationSetup, params: ModelParameters,
     so within this call each distinct nodal control is solved once: a batch
     is reduced to the nodal controls not seen before, which are solved
     together by :func:`fixed_point_batch`.  Every state is checked by
-    :func:`require_converged` before its objective is used.
+    :func:`require_converged` before its objective is used.  The SQP's
+    gradient at a point is :func:`gradient` at the state the oracle solved
+    there.  ``x0_state``, a converged state the caller already holds for the
+    start x0 = 0 (solved with the same tolerances), stands in for that solve.
 
     Returns ``(control, state, value, result)`` where ``result`` is the full
     SQP trace/diagnostics.
@@ -525,6 +638,9 @@ def solve_direct(setup: CollocationSetup, params: ModelParameters,
     opts = nlp_options or NlpOptions()
     M = setup.M
     states = {}  # nodal control bytes -> converged state, for this call only
+    if x0_state is not None:
+        require_converged(x0_state, "x0")
+        states[x0_state.phi.tobytes()] = x0_state
 
     def nodal(x):
         """Memo key and values of control ``x`` at the time nodes."""
@@ -543,8 +659,9 @@ def solve_direct(setup: CollocationSetup, params: ModelParameters,
         return np.array([states[k].objective for k in keys])
 
     problem = NlpProblem(dimension=M, lower=np.zeros(M),
-                         upper=np.full(M, params.Kbound),
-                         objective=oracle, options=opts)
+                         upper=np.full(M, params.Kbound), objective=oracle,
+                         options=opts,
+                         gradient=lambda x: gradient(states[nodal(x)[0]], setup, params))
     result = sqp_minimize(problem, np.zeros(M))
     best = ControlVector(segments=result.x, Kbound=params.Kbound)
     return best, states[nodal(result.x)[0]], result.fun, result

@@ -1,12 +1,13 @@
 """Box-constrained minimization by sequential quadratic programming.
 
-The optimal-control objective is only available as a black-box oracle that
-maps a batch of points to their values (one PDE solve per distinct point,
-and a batch may be solved together), so gradients are finite differences,
-the Hessian is a damped-BFGS approximation, and each step solves a small
-box-constrained quadratic subproblem with a primal active-set method.  Each
-gradient sends its whole probe set to the oracle in one call; line-search
-points go one at a time.  Everything is dependency-free and deterministic.
+The objective is an oracle that maps a batch of points to their values (one
+PDE solve per distinct point, and a batch may be solved together).  The
+gradient comes from the problem's own callback, called at points the oracle
+has evaluated, or else by finite differences, which send their whole probe
+set to the oracle in one call.  The Hessian is a damped-BFGS approximation,
+and each step solves a small box-constrained quadratic subproblem with a
+primal active-set method; line-search points go one at a time.  Everything
+is dependency-free and deterministic.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ QP_KKT_TOL = 1e-10  # projected KKT residual that ends a QP subproblem
 
 @dataclass
 class NlpOptions:
-    """Tuning knobs for the SQP driver."""
+    """Tuning knobs for the SQP driver; ``grad_step`` is the finite-difference
+    step of problems without a gradient callback."""
 
     grad_step: float = 1e-5
     tol: float = 1e-6
@@ -36,7 +38,9 @@ class NlpProblem:
     """A box-constrained minimization problem over an objective oracle.
 
     ``objective`` maps an array of k points, shape (k, dimension), to their
-    k values.
+    k values.  ``gradient``, if given, maps a point the objective has already
+    been evaluated at to the gradient there, shape (dimension,); without it
+    the gradient is taken by :func:`fd_gradient`.
     """
 
     dimension: int
@@ -44,6 +48,7 @@ class NlpProblem:
     upper: np.ndarray
     objective: Callable[[np.ndarray], np.ndarray]
     options: NlpOptions = field(default_factory=NlpOptions)
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -69,6 +74,13 @@ class NlpResult:
     message: str
     evaluations: int  # points sent to the oracle
     oracle_calls: int
+    gradient: np.ndarray  # at x
+
+
+def projected_gradient(x, g, lower, upper) -> np.ndarray:
+    """x - P(x - g), P the projection onto the box [lower, upper]: zero at a
+    first-order point of the box-constrained problem."""
+    return x - np.clip(x - g, lower, upper)
 
 
 def _step_sizes(problem: NlpProblem) -> np.ndarray:
@@ -191,13 +203,24 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
         calls, points = calls + 1, points + len(X)
         return values
 
+    def evaluate(x, fx=None):
+        """The gradient at x and f(x), evaluated first unless given."""
+        if problem.gradient is None:
+            return fd_gradient(counted, x, fx)
+        if fx is None:
+            fx = float(oracle(x[None])[0])
+        g = np.asarray(problem.gradient(x), dtype=float)
+        if g.shape != (problem.dimension,) or not np.isfinite(g).all():
+            raise ValueError("gradient must map a point to (dimension,) finite values")
+        return g, fx
+
     def stationary(x, g):  # a Python bool, as ``converged`` goes into JSON
-        pg = x - np.clip(x - g, problem.lower, problem.upper)
+        pg = projected_gradient(x, g, problem.lower, problem.upper)
         return bool(np.linalg.norm(pg, np.inf) < opts.tol)
 
     counted = replace(problem, objective=oracle)
     x = np.clip(np.asarray(x0, dtype=float), problem.lower, problem.upper)
-    g, f = fd_gradient(counted, x)
+    g, f = evaluate(x)
     trace = [(x.copy(), f)]
     B = np.eye(problem.dimension)
     message = "iteration cap reached"
@@ -225,11 +248,11 @@ def sqp_minimize(problem: NlpProblem, x0) -> NlpResult:
         s = xt - x
         x, f = xt, ft
         trace.append((x.copy(), f))
-        g_new, _ = fd_gradient(counted, x, f)
+        g_new, _ = evaluate(x, f)
         B = _bfgs_update(B, s, g_new - g)
         g = g_new
     if converged := stationary(x, g):
         message = "projected gradient below tolerance"
     return NlpResult(x=x, fun=f, trace=trace, iterations=it,
                      converged=converged, message=message,
-                     evaluations=points, oracle_calls=calls)
+                     evaluations=points, oracle_calls=calls, gradient=g)

@@ -125,11 +125,12 @@ def control_effect_sweep(pairs, params: ModelParameters, setup,
     """Optimized-vs-uncontrolled boundary trajectories per (L0, H0) pair.
 
     For every pair the direct problem is solved once with the zero control
-    and once with the SQP-optimized control; both trajectories are returned
-    in original coordinates (physical radius = R + eps) on a uniform time
-    grid.  Failures are isolated per pair; a pair with a fixed-point solve
-    that did not converge (uncontrolled, or inside the optimization, which
-    raises on one) is marked failed.
+    and once with the SQP-optimized control, whose optimization starts from
+    the zero control's state instead of solving it again; both trajectories
+    are returned in original coordinates (physical radius = R + eps) on a
+    uniform time grid.  Failures are isolated per pair; a pair with a
+    fixed-point solve that did not converge (uncontrolled, or inside the
+    optimization, which raises on one) is marked failed.
     ``sqp_converged`` records whether the optimizer met its own tolerance.
     """
     t_grid = np.linspace(-1.0, 1.0, 101)
@@ -144,7 +145,8 @@ def control_effect_sweep(pairs, params: ModelParameters, setup,
                                            max_iter=fp_max_iter)
             direct.require_converged(st0, "uncontrolled")
             _, st1, val, res = direct.solve_direct(
-                setup, p, nlp_options, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
+                setup, p, nlp_options, fp_tol=fp_tol, fp_max_iter=fp_max_iter,
+                x0_state=st0)
             row["R_uncontrolled"] = st0.radius(t_grid) + p.eps
             row["R_controlled"] = st1.radius(t_grid) + p.eps
             row["objective_controlled"] = val

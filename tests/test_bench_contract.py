@@ -72,8 +72,11 @@ def test_one_operation_passes_its_check_under_the_tracer(monkeypatch, workload, 
     assert error is None
     totals = tracer.totals()
     assert totals["model.rhs"]["calls"] > 0  # traced, not bypassed
-    if workload == "sweep-8x8":  # the batched probe path keeps its traced names
-        for name in ("direct.assemble_operator", "nlp.fd_gradient"):
+    if workload == "sweep-8x8":  # the exact gradient sends no FD probes
+        assert totals.get("nlp.fd_gradient", {"calls": 0})["calls"] == 0
+        for name in ("direct.fixed_point_solve", "direct.assemble_operator",
+                     "kernels.eval_state_grids", "model.velocity_solve",
+                     "nlp.sqp_minimize", "verify.control_effect_sweep"):
             assert totals.get(name, {"calls": 0})["calls"] > 0, name
 
 

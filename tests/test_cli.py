@@ -68,7 +68,7 @@ class TestConfig:
         # every key is converted by the type of its default, parameters included
         bad = [{"k1": "abc"}, {"K1": "nan"}, {"fp_max_iter": "2.5"},
                {"fp_tol": "nan"}, {"sqp_tol": "-1e-6"}, {"shoot_tol": "inf"},
-               {"grad_step": "0"}, {"rk4_steps": "1"}, {"study_grids": "2x"},
+               {"rk4_steps": "1"}, {"study_grids": "2x"},
                {"sweep_pairs": ","}]
         for overrides in bad:
             with pytest.raises(cli.ConfigError):
@@ -107,7 +107,7 @@ class TestConfig:
 
     def test_main_exit_code_on_bad_config(self, capsys):
         for flags in (["--N", "bogus"], ["--k1", "abc"], ["--fp-tol", "nan"],
-                      ["--grad-step", "0"], ["--sqp-max-iter", "-1"],
+                      ["--sqp-max-iter", "-1"],
                       ["--shoot-max-iter", "-3"],
                       ["--Ne", "4", "--Me", "4", "--study-grids", "8x8"],
                       ["--Ne", "4", "--Me", "4", "--study-grids", "2x2,3x4"],
@@ -115,6 +115,19 @@ class TestConfig:
             code = cli.main(["solve-direct"] + flags)
             assert code == 2, flags
             assert "invalid input" in capsys.readouterr().err
+
+    def test_retired_grad_step_is_unknown(self, tmp_path, capsys):
+        # the direct route's gradient is exact; no setting names an FD step
+        f = tmp_path / "run.cfg"
+        f.write_text("[solver]\ngrad_step = 1e-5\n")
+        assert cli.main(["solve-direct", "--config", str(f)]) == 2
+        assert "unknown key 'grad_step' in section [solver]" in capsys.readouterr().err
+        with pytest.raises(cli.ConfigError, match="unknown configuration key 'grad_step'"):
+            cli.load_config(overrides={"grad_step": "1e-5"})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve-direct", "--grad-step", "1e-5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grad-step" in capsys.readouterr().err
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
     def test_unusable_output_dir(self, tmp_path, capsys, monkeypatch, under):
@@ -207,6 +220,18 @@ class TestCommands:
         direct = json.loads((tmp_path / "manifest.json").read_text())["summary"]["direct"]
         assert direct["sqp_oracle_calls"] >= 1
         assert direct["sqp_evaluations"] >= direct["sqp_oracle_calls"]
+
+    def test_solve_direct_certifies_its_answer(self, tmp_path):
+        # mu1 = 0.06 at 4x4: the SQP takes steps and ends bang-bang, with the
+        # invisible segment 2 left at its start value 0
+        assert cli.main(["solve-direct", "--output-dir", str(tmp_path), "--N", "4",
+                         "--M", "4", "--mu1", "0.06", "--mu2", "0.015"]) == 0
+        got = json.loads((tmp_path / "manifest.json").read_text())["summary"]["direct"]
+        assert got["sqp_converged"] is True and got["sqp_iterations"] == 26
+        assert got["sqp_evaluations"] == got["sqp_oracle_calls"] == 26
+        assert 0.0 < got["residual"] < 1e-4  # FP_TOL leaves about 1e-5
+        assert got["projected_gradient_max"] < cli.SOLVER_KEYS["sqp_tol"]
+        assert (got["segments_at_0"], got["segments_at_Kbound"]) == (1, 3)
 
     @pytest.mark.parametrize("n", [4, 10])
     def test_solve_direct_reports_matrix_free_counts(self, tmp_path, monkeypatch, n):

@@ -291,13 +291,15 @@ class TestSolveDirect:
         assert np.max(np.abs(control.segments - ref.x)) <= 1e-12
         assert abs(value - ref.fun) <= 1e-12
         assert result.iterations == ref.iterations
-        assert (result.evaluations, result.oracle_calls) == (ref.evaluations,
-                                                             ref.oracle_calls)
+        # the exact gradient sends no probes: x0, then the line-search points,
+        # one per call; the FD run makes one call per accepted iterate's probes
+        searches = ref.oracle_calls - len(ref.trace)
+        assert result.evaluations == result.oracle_calls == 1 + searches
         assert state.converged and abs(_objective(state, params) - value) == 0.0
 
     def test_optimal_zero_control_reads_its_own_objective(self):
-        # x0 = 0 is solved in one batch with its probes; control_effect_sweep
-        # compares that J with a single solve of the zero control strictly.
+        # control_effect_sweep compares the J of x0 = 0 with a single solve of
+        # the zero control strictly.
         p = replace(P, L0=0.01472650807414623, H0=0.005215785112430533)
         s = build_setup(8, 8)
         control, _, value, _ = direct.solve_direct(s, p)
@@ -326,20 +328,21 @@ class TestSolveDirect:
         for st in states:
             assert st.objective == 1.0 - st.final_radius() - P.eps
 
-    def test_unconverged_probe_raises(self, monkeypatch):
-        batch = direct.fixed_point_batch
+    def test_unconverged_line_search_point_raises(self, monkeypatch):
+        batch, calls = direct.fixed_point_batch, []
 
-        def one_probe_capped(phi, setup, params, **kw):
-            states = batch(phi, setup, params, **kw)
-            if len(states) > 1:  # a gradient's probes
-                states[1] = batch(phi[1:2], setup, params, tol=kw["tol"], max_iter=2)[0]
-            return states
+        def first_search_point_capped(phi, setup, params, **kw):
+            calls.append(1)
+            if len(calls) == 2:  # x0, then the first line-search point
+                kw["max_iter"] = 2
+            return batch(phi, setup, params, **kw)
 
-        monkeypatch.setattr(direct, "fixed_point_batch", one_probe_capped)
+        monkeypatch.setattr(direct, "fixed_point_batch", first_search_point_capped)
         with pytest.raises(direct.NonConvergenceError,
                            match="objective fixed-point solve did not converge "
                                  "in 2 iterations"):
-            direct.solve_direct(build_setup(4, 4), P)
+            direct.solve_direct(build_setup(4, 4), P_SLOW)
+        assert len(calls) == 2
 
     def test_decoupled_optimum(self):
         s = build_setup(4, 4)
@@ -347,6 +350,115 @@ class TestSolveDirect:
             s, P.decoupled(), nlp_options=NlpOptions(max_iter=5))
         assert abs(value - (1.0 - P.eps)) < 1e-12
         assert state.converged
+
+
+def _tight_state(x, setup, params):
+    state = direct.fixed_point_solve(direct.ControlVector(x, params.Kbound), setup,
+                                     params, tol=1e-13, max_iter=2000)
+    assert state.converged
+    return state
+
+
+class TestResidual:
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("params", [P, P_SLOW], ids=["default", "mu1=0.06"])
+    def test_vanishes_at_a_tight_fixed_point_only(self, n, params):
+        s = build_setup(n, n)
+        state = _tight_state(np.full(n, 0.5), s, params)
+        assert direct.residual_norm(state, params) < 1e-8
+        for moved in (replace(state, C=state.C + 1e-6),
+                      replace(state, C_R=state.C_R + 1e-6)):
+            assert direct.residual_norm(moved, params) > 1e-4
+
+    def test_matches_the_assembled_equations(self):
+        # A(Z) C - S(Z) with the dense operators, and the boundary ODE's
+        # (2/T) D1t' C_R = v(-1) solved for C_R, on a batch of two iterates
+        s = build_setup(4, 4)
+        states = direct.fixed_point_batch(np.array([np.zeros(4), np.full(4, 0.7)]),
+                                          s, P, max_iter=3)
+        C = np.stack([st.C for st in states], axis=1)
+        C_R = np.stack([st.C_R for st in states])
+        phi = np.stack([st.phi for st in states])
+        F, F_R, S = direct.residual(C, C_R, phi, s, P)
+        for b, st in enumerate(states):
+            fr = model.Frame(model.Points(s.rho[:, None], P), st.C_R @ s.D0t,
+                             s.field_values(st.C))
+            v_field, v_inner, _, _ = model.velocity_solve(fr, s)
+            S_b, LH, FF = kernels.eval_state_grids(fr, v_inner, v_field, st.phi)
+            assert np.allclose(S[:, b], S_b, rtol=1e-13, atol=0.0)
+            for k, pair in enumerate((LH, LH, FF)):
+                A = direct.assemble_operator(*pair, s, P)
+                want = A @ st.C[k].ravel() - S_b[k].ravel()
+                assert np.allclose(F[k, b].ravel(), want, rtol=0.0,
+                                   atol=1e-12 * np.abs(S_b).max())
+            want_R = st.C_R - np.linalg.solve((2.0 / P.T) * s.D1t.T, v_inner)
+            assert np.allclose(F_R[b], want_R, rtol=0.0, atol=1e-15)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("params", [P, P_SLOW], ids=["default", "mu1=0.06"])
+    def test_taylor(self, n, params):
+        # against central differences of J, h = 1e-3, at tol-1e-13 states
+        s, h = build_setup(n, n), 1e-3
+        x = np.random.default_rng(n).uniform(0.1, 0.9, n)
+        g = direct.gradient(_tight_state(x, s, params), s, params)
+        probes = np.concatenate([x + h * np.eye(n), x - h * np.eye(n)])
+        J = [st.objective for st in direct.fixed_point_batch(
+            np.stack([_nodal(xp, s, params) for xp in probes]), s, params,
+            tol=1e-13, max_iter=2000)]
+        fd = (np.array(J[:n]) - np.array(J[n:])) / (2.0 * h)
+        assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("n, empty", [(4, [2]), (8, [1, 4])])
+    def test_segments_without_a_node_read_exactly_zero(self, n, empty):
+        s = build_setup(n, n)
+        assert sorted(set(range(n)) - set(direct.segment_index(s.t, n))) == empty
+        g = direct.gradient(_tight_state(np.full(n, 0.5), s, P_SLOW), s, P_SLOW)
+        assert np.all(g[empty] == 0.0)
+        assert np.all(np.delete(g, empty) < 0.0)
+
+    def test_non_finite_jacobian_raises(self, monkeypatch):
+        s, resid = build_setup(4, 4), direct.residual
+
+        def nan_member(*args):
+            F, F_R, S = resid(*args)
+            F[0, 0, 0, 0] = np.nan
+            return F, F_R, S
+
+        state = direct.fixed_point_solve(_zero_control(4), s, P)
+        monkeypatch.setattr(direct, "residual", nan_member)
+        with pytest.raises(direct.JacobianError, match="non-finite"):
+            direct.gradient(state, s, P)
+
+    def test_singular_jacobian_raises(self, monkeypatch):
+        # a residual blind to C_R's first coefficient has a zero column
+        s, resid = build_setup(4, 4), direct.residual
+
+        def blind(C, C_R, *args):
+            C_R = C_R.copy()
+            C_R[:, 0] = 0.0
+            return resid(C, C_R, *args)
+
+        state = direct.fixed_point_solve(_zero_control(4), s, P)
+        monkeypatch.setattr(direct, "residual", blind)
+        with pytest.raises(direct.JacobianError, match="singular"):
+            direct.gradient(state, s, P)
+
+    def test_sweep_solves_the_zero_control_once(self, monkeypatch):
+        # solve_direct starts from the sweep's own uncontrolled state
+        batch, sizes = direct.fixed_point_batch, []
+
+        def counting(phi, *args, **kw):
+            sizes.append(len(phi))
+            return batch(phi, *args, **kw)
+
+        monkeypatch.setattr(direct, "fixed_point_batch", counting)
+        row, = verify.control_effect_sweep([verify.DEFAULT_SWEEP_PAIRS[0]], P,
+                                           build_setup(8, 8))
+        assert not row["failed"] and row["sqp_converged"]
+        assert sizes == [1]
+        assert row["objective_controlled"] == row["objective_uncontrolled"]
 
 
 def _nodal(segments, setup, params):
@@ -866,8 +978,8 @@ class TestIterationCap:
                 cli.SOLVER_KEYS["fp_tol"]]
         assert tols == [direct.FP_TOL] * len(tols)
         nlp = NlpOptions()
-        assert [cli.SOLVER_KEYS[k] for k in ("sqp_tol", "sqp_max_iter", "grad_step")] \
-            == [nlp.tol, nlp.max_iter, nlp.grad_step]
+        assert [cli.SOLVER_KEYS[k] for k in ("sqp_tol", "sqp_max_iter")] \
+            == [nlp.tol, nlp.max_iter]
         shoot = [default(indirect.solve_indirect, "tol"),
                  default(indirect.solve_indirect, "max_iter"),
                  default(indirect.solve_indirect, "n_steps"),
@@ -875,7 +987,7 @@ class TestIterationCap:
         assert [cli.SOLVER_KEYS[k] for k in
                 ("shoot_tol", "shoot_max_iter", "rk4_steps", "rk4_steps")] == shoot
         assert set(cli.SOLVER_KEYS) == {"fp_tol", "fp_max_iter", "sqp_tol",
-                                        "sqp_max_iter", "grad_step", "shoot_tol",
+                                        "sqp_max_iter", "shoot_tol",
                                         "shoot_max_iter", "rk4_steps"}
 
     def test_slow_contraction_converges_with_library_defaults(self):

@@ -1,5 +1,7 @@
 """Box-constrained SQP driver, FD gradients and the QP subproblem."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from plaquectrl.nlp import (
     NlpOptions,
     NlpProblem,
     fd_gradient,
+    projected_gradient,
     qp_subproblem,
     sqp_minimize,
 )
@@ -226,6 +229,45 @@ class TestOracleCalls:
         r = sqp_minimize(p, np.array(x0))
         assert r.converged
         assert (r.iterations, r.evaluations, r.oracle_calls) == counts
+
+    def test_gradient_callback_replaces_the_probes(self):
+        # called only at points the oracle has already evaluated; the FD run
+        # of the same problem takes the same steps to 1e-6
+        target = np.array([0.3, 0.7, 2.0])
+        points, at = [], []
+
+        def f(X):
+            points.extend(map(tuple, X))
+            return np.sum((X - target) ** 2, axis=1)
+
+        def grad(x):
+            at.append(tuple(x))
+            return 2.0 * (x - target)
+
+        p = NlpProblem(dimension=3, lower=np.zeros(3), upper=np.ones(3),
+                       objective=f, gradient=grad)
+        r = sqp_minimize(p, np.zeros(3))
+        assert r.evaluations == r.oracle_calls == len(points)
+        assert at == [tuple(x) for x, _ in r.trace] and set(at) <= set(points)
+        assert np.array_equal(r.gradient, grad(r.x))
+        ref = sqp_minimize(replace(p, gradient=None), np.zeros(3))
+        assert r.converged and np.allclose(r.x, ref.x, atol=1e-6)
+        assert r.iterations == ref.iterations
+
+    @pytest.mark.parametrize("bad", [lambda x: x[:1], lambda x: np.full(2, np.nan)],
+                             ids=["wrong-shape", "non-finite"])
+    def test_bad_gradient_callback_rejected(self, bad):
+        p = NlpProblem(dimension=2, lower=np.zeros(2), upper=np.ones(2),
+                       objective=lambda X: np.sum(X, axis=1), gradient=bad)
+        with pytest.raises(ValueError, match="gradient must map"):
+            sqp_minimize(p, np.zeros(2))
+
+    def test_result_carries_the_gradient_at_x(self):
+        p = _problem(lambda x: float(x[0]), [0.0], [1.0])
+        r = sqp_minimize(p, np.array([0.5]))
+        g, _ = fd_gradient(p, r.x)
+        assert np.array_equal(r.gradient, g)
+        assert np.array_equal(projected_gradient(r.x, r.gradient, p.lower, p.upper), [0.0])
 
     def test_pointwise_objective_rejected(self):
         p = NlpProblem(dimension=2, lower=np.zeros(2), upper=np.ones(2),
