@@ -11,10 +11,15 @@ fixed point runs on a batch of nodal controls at once
 (:func:`fixed_point_batch`); a single solve is a batch of one.  The scalar
 objective 1 - R(1) - eps over piecewise-constant controls is then handed to
 the SQP driver in :mod:`plaquectrl.nlp` as an oracle over batches, with its
-exact gradient (:func:`gradient`): one dense solve on the Jacobian of the
-collocation residual (:func:`residual`) at the state the oracle already
-solved, by the implicit-function theorem.  :func:`solve_direct` solves each
-distinct nodal control once.
+exact gradient (:func:`gradient`): one dense solve, by the implicit-function
+theorem, on the Jacobian of the collocation residual (:func:`residual`) at
+the state the oracle solved.  At frozen grids the residual is linear, and
+that part is the assembled operators; the grids' own change is local in
+time (one velocity product per time column, every other grid pointwise), so
+3N + 2 colors, one per field and space node, one for R and one for phi, each
+stepping every time node at once, give it from one evaluation of the grids
+on 6N + 5 members (Curtis, Powell & Reid, IMA J. Appl. Math. 13, 1974).
+:func:`solve_direct` solves each distinct nodal control once.
 
 The collocation operator is written once: the time, drift and diffusion
 terms of a map on batches of coefficient matrices
@@ -69,11 +74,8 @@ GMRES_RTOL = 1e-13
 GMRES_RESTART = 200
 GMRES_MAX_ITER = 600
 
-# The residual Jacobian's columns are central differences with step
-# JVP_STEP (1 + ||Z||_inf), JVP_CHUNK directions (2 JVP_CHUNK batch members)
-# per residual call.
+# Step of the residual Jacobian's central differences, times 1 + max |nodal Z|.
 JVP_STEP = 1e-6
-JVP_CHUNK = 16
 
 
 class NonConvergenceError(RuntimeError):
@@ -430,6 +432,16 @@ def _boundary(v_inner, setup, params):
     return (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]
 
 
+def _pass_residual(fr, C, phi, setup, params):
+    """A C - S (3, B, N, M) at the grids of frame ``fr``, with v(-1) (B, M), the
+    sources S and the (g1, G2) pairs of :func:`kernels.eval_state_grids`."""
+    v_field, v_inner, _, _ = model.velocity_solve(fr, setup)
+    S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])
+    AC = np.concatenate([_apply_operator(*LH, setup, params, C[:2]),
+                         _apply_operator(*F, setup, params, C[2:])])
+    return AC - S, v_inner, S, LH, F
+
+
 def residual(C, C_R, phi, setup: CollocationSetup, params: ModelParameters):
     """Nodal residuals of the collocation equations at a batch of iterates.
 
@@ -442,11 +454,8 @@ def residual(C, C_R, phi, setup: CollocationSetup, params: ModelParameters):
     zero of (F, F_R).
     """
     fr = _frame(model.Points(setup.rho[None, :, None], params), C, C_R, setup)
-    v_field, v_inner, _, _ = model.velocity_solve(fr, setup)
-    S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])
-    AC = np.concatenate([_apply_operator(*LH, setup, params, C[:2]),
-                         _apply_operator(*F, setup, params, C[2:])])
-    return AC - S, C_R - _boundary(v_inner, setup, params), S
+    F, v_inner, S, _, _ = _pass_residual(fr, C, phi, setup, params)
+    return F, C_R - _boundary(v_inner, setup, params), S
 
 
 def residual_norm(state: StateSolution, params: ModelParameters) -> float:
@@ -458,25 +467,38 @@ def residual_norm(state: StateSolution, params: ModelParameters) -> float:
     return float(top / scale if scale > 0.0 else top)
 
 
-def _jacobian(state, setup, params):
-    """(dF/dZ | dF/dphi)' at ``state``, (n + M, n) with n unknowns: row d is
-    the central difference of the flattened (F, F_R) of :func:`residual` in
-    direction d of z = (C, C_R, phi) flattened, JVP_CHUNK directions per call."""
+def residual_jacobian(state: StateSolution, setup: CollocationSetup,
+                      params: ModelParameters) -> np.ndarray:
+    """(dF/dZ | dF/dphi)' of :func:`residual` at ``state``, (n + M, n) with
+    n = 3NM + M: row d is the derivative of the flattened (F, F_R) in
+    direction d of z = (C, C_R, phi).  The linear part (A(Z) dC, dC_R) is
+    :func:`assemble_operator` at the state's grids; the time-local rest is
+    one batch, the state and +-JVP_STEP (1 + max |nodal Z|) along each of the
+    3N + 2 colors (module docstring), differenced at each time node, mapped
+    to coefficients by X = D0r' C D0t, R = C_R D0t, and -(T/2) dv(-1) D1t^-T.
+    """
     N, M = setup.N, setup.M
-    z = np.concatenate([state.C.ravel(), state.C_R, state.phi])
-    n = z.size - M
-    h = JVP_STEP * (1.0 + np.abs(z[:n]).max())
+    nm, n, k = N * M, 3 * N * M + M, 3 * N + 2
+    nodal = np.concatenate([setup.field_values(state.C).reshape(3 * N, M),
+                            state.C_R[None] @ setup.D0t, state.phi[None]])
+    h = JVP_STEP * (1.0 + np.abs(nodal[:-1]).max())
+    Z = nodal + np.concatenate([np.zeros((1, k)), h * np.eye(k), -h * np.eye(k)])[:, :, None]
+    F, v_inner, _, LH, FF = _pass_residual(  # unnamed, the frame and its grids are freed on return
+        model.Frame(model.Points(setup.rho[None, :, None], params), Z[:, 3 * N:-1],
+                    Z[:, :3 * N].reshape(-1, 3, N, M).swapaxes(0, 1)),
+        np.broadcast_to(state.C[:, None], (3, 2 * k + 1, N, M)), Z[:, -1], setup, params)
+    out = np.concatenate([F.swapaxes(0, 1).reshape(-1, 3 * N, M), v_inner[:, None]], axis=1)
+    D = (out[1:k + 1] - out[k + 1:]) / (2.0 * h)  # (color, output, time node)
+    spaced = np.concatenate([(setup.D0r @ D[:3 * N].reshape(3, N, -1)).reshape(3 * N, -1, M),
+                             D[3 * N:-1]])
     jac = np.empty((n + M, n))
-    for d0 in range(0, n + M, JVP_CHUNK):
-        d = np.arange(d0, min(d0 + JVP_CHUNK, n + M))
-        k = len(d)
-        W = np.tile(z, (2 * k, 1))
-        W[np.arange(k), d] += h
-        W[np.arange(k, 2 * k), d] -= h
-        F, F_R, _ = residual(W[:, :n - M].reshape(2 * k, 3, N, M).swapaxes(0, 1),
-                             W[:, n - M:n], W[:, n:], setup, params)
-        out = np.hstack([F.swapaxes(0, 1).reshape(2 * k, -1), F_R])
-        jac[d] = (out[:k] - out[k:]) / (2.0 * h)
+    np.multiply(spaced[:, None], setup.D0t[:, None], out=jac[:n].reshape(3 * N + 1, M, -1, M))
+    np.multiply(D[-1], np.eye(M)[:, None], out=jac[n:].reshape(M, -1, M))
+    jac[:, 3 * nm:] = -_boundary(jac[:, 3 * nm:], setup, params)
+    jac[3 * nm:n, 3 * nm:] += np.eye(M)
+    A = assemble_operator(*(np.stack([a[0], b[0]]) for a, b in zip(LH, FF)), setup, params)
+    for f in range(3):  # L, H on the first operator, F on the second
+        jac[f * nm:(f + 1) * nm, f * nm:(f + 1) * nm] += A[f // 2].T
     return jac
 
 
@@ -484,17 +506,15 @@ def gradient(state: StateSolution, setup: CollocationSetup,
              params: ModelParameters) -> np.ndarray:
     """Exact gradient of J = 1 - R(1) - eps over the M control segments at ``state``.
 
-    By the implicit-function theorem at the discrete solution Z = (C, C_R)
-    of F(Z, phi) = 0 (:func:`residual`): the columns of dF/dZ and dF/dphi
-    are central differences of the residual (:func:`_jacobian`), one dense
-    solve of dF/dZ dZ = -dF/dphi gives the sensitivities, and
-    dJ/dphi = -D0t[:, -1] . dC_R.  Segment i then sums the nodes that
-    :meth:`ControlVector.values_at` reads it at (:func:`segment_index`), so
-    a segment that holds no time node reads exactly 0.  Raises
-    :class:`JacobianError` on a singular or non-finite Jacobian.
+    One dense solve of dF/dZ dZ = -dF/dphi on :func:`residual_jacobian` at
+    the discrete solution Z = (C, C_R) gives the sensitivities
+    (implicit-function theorem), and dJ/dphi = -D0t[:, -1] . dC_R.  Segment
+    i sums the nodes that :meth:`ControlVector.values_at` reads it at
+    (:func:`segment_index`), so a segment without a time node reads exactly
+    0.  Raises :class:`JacobianError` on a singular or non-finite Jacobian.
     """
     M = setup.M
-    jac = _jacobian(state, setup, params)
+    jac = residual_jacobian(state, setup, params)
     n = jac.shape[1]
     if not np.isfinite(jac).all():
         raise JacobianError("non-finite collocation residual Jacobian")

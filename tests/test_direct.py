@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from gmres_reference import gmres_reference
+from jacobian_reference import gradient_reference, jacobian_reference
 
 from plaquectrl import cli, direct, indirect, kernels, model, verify
 from plaquectrl.nlp import NlpOptions, NlpProblem, sqp_minimize
@@ -418,30 +419,74 @@ class TestGradient:
         assert np.all(g[empty] == 0.0)
         assert np.all(np.delete(g, empty) < 0.0)
 
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("params", [P, P_SLOW], ids=["default", "mu1=0.06"])
+    @pytest.mark.parametrize("control", ["zero", "random"])
+    def test_jacobian_matches_the_column_by_column_reference(self, n, params, control):
+        # Every column a central difference of the residual: it assumes no
+        # time locality, so a grid term that couples time nodes fails here.
+        s = build_setup(n, n)
+        x = (np.zeros(n) if control == "zero"
+             else np.random.default_rng(100 + n).uniform(0.0, params.Kbound, n))
+        state = direct.fixed_point_solve(direct.ControlVector(x, params.Kbound), s, params)
+        jac, ref = direct.residual_jacobian(state, s, params), jacobian_reference(state, s, params)
+        m = ref.shape[1]  # rows of dF/dZ, then M rows of dF/dphi
+        for rows, bound in ((slice(None, m), 1e-8), (slice(m, None), 1e-6)):
+            assert np.abs(jac[rows] - ref[rows]).max() <= bound * np.abs(ref[rows]).max()
+        g, g_ref = direct.gradient(state, s, params), gradient_reference(state, s, params)
+        assert np.abs(g - g_ref).max() <= 1e-7 * np.abs(g_ref).max()
+
+    @pytest.mark.parametrize("N, M", [(4, 4), (8, 8), (8, 16)])
+    def test_one_grid_evaluation_per_gradient(self, monkeypatch, N, M):
+        # one batch of 6N + 5 members (the state, +-h along 3N + 2 colors), whatever M is
+        s, members = build_setup(N, M), {"grids": [], "velocity": []}
+        state = direct.fixed_point_solve(_zero_control(M), s, P)
+        grids, velocity = kernels.eval_state_grids, model.velocity_solve
+
+        def count(fn, key):
+            def counted(fr, *args):
+                members[key].append(fr.X.shape[1])
+                return fn(fr, *args)
+            return counted
+
+        monkeypatch.setattr(kernels, "eval_state_grids", count(grids, "grids"))
+        monkeypatch.setattr(model, "velocity_solve", count(velocity, "velocity"))
+        direct.gradient(state, s, P)
+        assert members == {"grids": [6 * N + 5], "velocity": [6 * N + 5]}
+
     def test_non_finite_jacobian_raises(self, monkeypatch):
-        s, resid = build_setup(4, 4), direct.residual
+        # a NaN in the sources of one stepped member
+        s, grids = build_setup(4, 4), kernels.eval_state_grids
 
         def nan_member(*args):
-            F, F_R, S = resid(*args)
-            F[0, 0, 0, 0] = np.nan
-            return F, F_R, S
+            S, LH, F = grids(*args)
+            S[0, 1, 0, 0] = np.nan
+            return S, LH, F
 
         state = direct.fixed_point_solve(_zero_control(4), s, P)
-        monkeypatch.setattr(direct, "residual", nan_member)
+        monkeypatch.setattr(kernels, "eval_state_grids", nan_member)
         with pytest.raises(direct.JacobianError, match="non-finite"):
             direct.gradient(state, s, P)
 
     def test_singular_jacobian_raises(self, monkeypatch):
-        # a residual blind to C_R's first coefficient has a zero column
-        s, resid = build_setup(4, 4), direct.residual
+        # grids blind to every color and operators with a zero row leave
+        # dF/dZ a zero column
+        s, grids, assemble = build_setup(4, 4), kernels.eval_state_grids, direct.assemble_operator
 
-        def blind(C, C_R, *args):
-            C_R = C_R.copy()
-            C_R[:, 0] = 0.0
-            return resid(C, C_R, *args)
+        def blind(fr, *args):
+            S, LH, F = grids(fr, *args)
+            B = fr.X.shape[1]
+            return (S[:, :1].repeat(B, axis=1),
+                    *(tuple(g[:1].repeat(B, axis=0) for g in pair) for pair in (LH, F)))
+
+        def rank_deficient(*args, **kw):
+            A = assemble(*args, **kw)
+            A[..., 0, :] = 0.0
+            return A
 
         state = direct.fixed_point_solve(_zero_control(4), s, P)
-        monkeypatch.setattr(direct, "residual", blind)
+        monkeypatch.setattr(kernels, "eval_state_grids", blind)
+        monkeypatch.setattr(direct, "assemble_operator", rank_deficient)
         with pytest.raises(direct.JacobianError, match="singular"):
             direct.gradient(state, s, P)
 
