@@ -6,17 +6,16 @@ for the new coefficient matrices, updates the velocity at every time node in
 one solve, and advances the free boundary by a collocated ODE in time.  The
 fields travel as one array, L, H, F stacked as in :mod:`plaquectrl.model`,
 and each operator as the (diffusion g1, drift G2) pair that
-:func:`kernels.eval_state_grids` returns for it.  The
-fixed point runs on a batch of nodal controls at once
-(:func:`fixed_point_batch`); a single solve is a batch of one.  The scalar
-objective 1 - R(1) - eps over piecewise-constant controls is then handed to
-the SQP driver in :mod:`plaquectrl.nlp` as an oracle over batches, with its
-exact gradient (:func:`gradient`): one dense solve, by the implicit-function
-theorem, on the Jacobian of the collocation residual (:func:`residual`) at
-the state the oracle solved.  At frozen grids the residual is linear, and
-that part is the assembled operators; the grids' own change is local in
-time (one velocity product per time column, every other grid pointwise), so
-3N + 2 colors, one per field and space node, one for R and one for phi, each
+:func:`kernels.eval_state_grids` returns for it.  The fixed point
+(:func:`fixed_point_solve`) runs on one control.  The scalar objective
+1 - R(1) - eps over piecewise-constant controls is then handed to the SQP
+driver in :mod:`plaquectrl.nlp` as an oracle, with its exact gradient
+(:func:`gradient`): one dense solve, by the implicit-function theorem, on
+the Jacobian of the collocation residual (:func:`residual`) at the state
+the oracle solved.  At frozen grids the residual is linear, and that part
+is the assembled operators; the grids' own change is local in time (one
+velocity product per time column, every other grid pointwise), so 3N + 2
+colors, one per field and space node, one for R and one for phi, each
 stepping every time node at once, give it from one evaluation of the grids
 on 6N + 5 members (Curtis, Powell & Reid, IMA J. Appl. Math. 13, 1974).
 :func:`solve_direct` solves each distinct nodal control once.
@@ -26,22 +25,21 @@ terms of a map on batches of coefficient matrices
 (:meth:`~plaquectrl.spectral.CollocationSetup.operator_terms`), combined
 with the grids by :func:`_combine`.  Up to ``DENSE_MAX_UNKNOWNS`` unknowns
 N*M, the system is that map applied to the identity
-(:func:`assemble_operator`, one operator per batch member) in buffers that
-:func:`fixed_point_batch` allocates once per call (per-pass temporaries
-would be mapped and faulted in afresh by the C allocator), solved by one
-batched dense LU.  A larger system is never formed: GMRES applies the map
-(:func:`_apply_operator`) member by member from the previous iterate, once
-per system and pass, preconditioned by a Sylvester equation with the drift
-fitted to its time median, solved by diagonalizing its space side; a member
-keeps a preconditioner for the next pass when its GMRES count did not rise
-(:func:`_solve_matrix_free`).  Both paths run on numpy alone.  Whole
-fixed-point solves (default parameters, zero control, 2-vCPU VM, OpenBLAS
-threads at their default; fastest of 3-15 solves in each of two processes)
-take, dense against GMRES: 0.011 s against 0.032 s at 9 x 9 (81 unknowns),
-0.014 s against 0.034 s at 11 x 9 (99), 0.016 s against 0.030 s at
-10 x 10 (100), 0.029 s against 0.034 s at 12 x 12, 0.037 s against
-0.035 s at 13 x 13, 0.085 s against 0.039 s at 16 x 16 and 1.7 s against
-0.078 s at 32 x 32.  Dense wins up to about 12 x 12 and breaks even at
+(:func:`assemble_operator`), solved by dense LU; the largest such operator,
+99^2 floats (78 KB), stays below the C allocator's 128 KB mmap threshold,
+so a pass's operators reuse freed heap pages.  A larger system is never
+formed: GMRES applies the map (:func:`_apply_operator`) from the previous
+iterate, once per system and pass, preconditioned by a Sylvester equation
+with the drift fitted to its time median, solved by diagonalizing its space
+side; a system keeps its preconditioner for the next pass when its GMRES
+count did not rise (:func:`_solve_matrix_free`).  Both paths run on numpy
+alone.  Whole fixed-point solves (default parameters, zero control, 2-vCPU
+VM, OpenBLAS threads at their default; fastest of 3-15 solves in each of two
+processes) take, dense against GMRES: 0.011 s against 0.032 s at 9 x 9
+(81 unknowns), 0.014 s against 0.034 s at 11 x 9 (99), 0.016 s against
+0.030 s at 10 x 10 (100), 0.029 s against 0.034 s at 12 x 12, 0.037 s
+against 0.035 s at 13 x 13, 0.085 s against 0.039 s at 16 x 16 and 1.7 s
+against 0.078 s at 32 x 32.  Dense wins up to about 12 x 12 and breaks even at
 13 x 13; moving the cut-off would change the rounding of every grid in
 between.  Both paths take the same fixed-point iterations and agree on J
 to 1e-15.
@@ -205,7 +203,7 @@ def _apply_operator(g1, G2, setup, params, C):
 
 
 def assemble_operator(g1, G2, setup: CollocationSetup,
-                      params: ModelParameters, out=None) -> np.ndarray:
+                      params: ModelParameters) -> np.ndarray:
     """Square (N*M) collocation operator with diffusion g1 (M,) and drift G2 (N, M).
 
     (g1, G2) is one of the pairs of :func:`kernels.eval_state_grids` at the
@@ -215,48 +213,38 @@ def assemble_operator(g1, G2, setup: CollocationSetup,
     :func:`_apply_operator` of unit coefficient matrix j: the same combine,
     of the setup's :attr:`~plaquectrl.spectral.CollocationSetup.operator_matrices`
     with g1 and G2 as flat rows.  Grids of a batch, G2 (B, N, M) and
-    g1 (B, 1, M), give the B operators (B, n, n), written into the first of
-    the buffers ``out`` = (operator, scratch), if given, and returned.
+    g1 (B, 1, M), give the B operators (B, n, n).
     """
     rows = np.shape(G2)[:-2] + (1, setup.N * setup.M)
-    AT, scratch = (None, None) if out is None else (b.swapaxes(-1, -2) for b in out)
-    AT = _combine(*setup.operator_matrices, np.broadcast_to(g1, np.shape(G2)).reshape(rows),
-                  np.reshape(G2, rows), params, AT, scratch)
-    return AT.swapaxes(-1, -2) if out is None else out[0]
+    return _combine(*setup.operator_matrices, np.broadcast_to(g1, np.shape(G2)).reshape(rows),
+                    np.reshape(G2, rows), params, None, None).swapaxes(-1, -2)
 
 
-def _solve_fields(S, LH, F, setup, params, work, x0, moving):
-    """Coefficient matrices (3, B, N, M) of L, H, F for sources S (3, B, N, M).
+def _solve_fields(S, LH, F, setup, params, x0, reuse):
+    """Coefficient matrices (3, N, M) of L, H, F for sources S (3, N, M).
 
-    L and H share the operator of the (diffusion g1 (B, 1, M), drift
-    G2 (B, N, M)) pair ``LH``, F has that of ``F``.  If ``work`` is an array
-    of buffers (2, B, n, n), which :func:`fixed_point_batch` allocates up to
-    ``DENSE_MAX_UNKNOWNS`` unknowns, each operator's B members are assembled
-    into them and solved by one batched dense LU.  Above, ``work`` holds one
-    dict per member: each member still ``moving`` (B,) is solved from the
-    guesses ``x0`` (3, B, N, M) with the preconditioners its dict carries
-    over, and the matrix-free path does not solve a held member again.
+    L and H share the operator of the (diffusion g1 (M,), drift G2 (N, M))
+    pair ``LH``, F has that of ``F``.  Up to ``DENSE_MAX_UNKNOWNS`` unknowns
+    each operator is assembled and solved by dense LU.  Above, each system
+    is solved by :func:`_solve_matrix_free` from the guesses ``x0``
+    (3, N, M), with the dict that ``reuse`` keeps for it from pass to pass.
     """
-    systems = (("L", LH, slice(0, 2)), ("F", F, slice(2, 3)))
-    if isinstance(work, list):
-        X = x0.copy()
-        for b in np.flatnonzero(moving):
-            for name, (g1, G2), k in systems:
-                X[k, b] = _solve_matrix_free(g1[b], G2[b], setup, params, S[k, b], name,
-                                             x0[k, b], work[b].setdefault(name, {}))
-        return X
     X = np.empty_like(S)
-    for name, (g1, G2), k in systems:
-        A = assemble_operator(g1, G2, setup, params, out=work)
+    for name, (g1, G2), k in (("L", LH, slice(0, 2)), ("F", F, slice(2, 3))):
+        if setup.N * setup.M > DENSE_MAX_UNKNOWNS:
+            X[k] = _solve_matrix_free(g1, G2, setup, params, S[k], name, x0[k],
+                                      reuse.setdefault(name, {}))
+            continue
+        A = assemble_operator(g1, G2, setup, params)
         try:
-            sol = np.linalg.solve(A, S[k].reshape(*S[k].shape[:2], -1).transpose(1, 2, 0))
+            sol = np.linalg.solve(A, S[k].reshape(len(S[k]), -1).T)
             if not np.all(np.isfinite(sol)):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             if np.isfinite(S[k]).all() and np.isfinite(A).all():
-                raise SingularOperatorError(name, float(np.max(np.linalg.cond(A)))) from None
+                raise SingularOperatorError(name, float(np.linalg.cond(A))) from None
             raise NonConvergenceError(f"{name} collocation system has non-finite input") from None
-        X[k] = sol.transpose(2, 0, 1).reshape(S[k].shape)
+        X[k] = sol.T.reshape(S[k].shape)
     return X
 
 
@@ -292,7 +280,7 @@ def _preconditioner(g1, G2, setup, params):
 
 
 def _solve_matrix_free(g1, G2, setup, params, sources, name, x0, reuse):
-    """One member's :func:`_solve_fields` system by GMRES, never forming the operator.
+    """One :func:`_solve_fields` system by GMRES, never forming the operator.
 
     GMRES applies :func:`_apply_operator`.  In W = C D0t, with
     K = D0t^-1 D1t, scaling its time columns by d = 1/g1 and replacing
@@ -321,13 +309,13 @@ def _solve_matrix_free(g1, G2, setup, params, sources, name, x0, reuse):
     fixed-point pass to the next, carries the preconditioner and the largest
     GMRES iteration count of its solves, and totals the GMRES iterations and
     preconditioner builds of its passes ("gmres_iterations", "builds", read
-    by :func:`fixed_point_batch`).  The preconditioner is kept for the next
+    by :func:`fixed_point_solve`).  The preconditioner is kept for the next
     pass only when this pass's solves took no more iterations than the
     previous pass's, so the first pass's never is (built at the zero
     iterate, where the frozen coefficients do not depend on t, it is exact,
     and its solves take 1-2 iterations).  Each system is solved once per
-    pass; the matrix-free path does not solve a held member again.  A run
-    that fails raises, on a kept preconditioner as on a fresh one.
+    pass.  A run that fails raises, on a kept preconditioner as on a fresh
+    one.
     """
     N, M = setup.N, setup.M
     precondition = reuse.get("precondition")
@@ -418,18 +406,18 @@ def _gmres(apply, precondition, b, name, x0):
 
 
 def _frame(pts, C, C_R, setup):
-    """The :class:`~plaquectrl.model.Frame` at the batch points ``pts`` of the
-    iterate C (3, B, N, M), C_R (B, M): R (B, 1, M) at the time nodes, L, H, F
-    at the nodes."""
-    return model.Frame(pts, C_R[:, None] @ setup.D0t, setup.field_values(C))
+    """The :class:`~plaquectrl.model.Frame` at the points ``pts`` of the
+    iterate C (3, ..., N, M), C_R (..., M): R at the time nodes, L, H, F at
+    the nodes."""
+    return model.Frame(pts, C_R @ setup.D0t, setup.field_values(C))
 
 
 def _boundary(v_inner, setup, params):
-    """C_R (B, M) of the boundary ODE (2/T) R' = v(-1, t) for the inner
-    velocities ``v_inner`` (B, M)."""
-    # One row product per member, never one product over the batch, so
-    # that no member's rounding depends on the batch it is in.
-    return (0.5 * params.T) * (v_inner[:, None] @ setup.D1tT_inv.T)[:, 0]
+    """C_R (..., M) of the boundary ODE (2/T) R' = v(-1, t) for the inner
+    velocities ``v_inner`` (..., M)."""
+    # One row product per member, never one product over the batch, so that
+    # each of the Jacobian's colors rounds as it would alone.
+    return (0.5 * params.T) * (v_inner[..., None, :] @ setup.D1tT_inv.T)[..., 0, :]
 
 
 def _pass_residual(fr, C, phi, setup, params):
@@ -445,15 +433,15 @@ def _pass_residual(fr, C, phi, setup, params):
 def residual(C, C_R, phi, setup: CollocationSetup, params: ModelParameters):
     """Nodal residuals of the collocation equations at a batch of iterates.
 
-    C (3, B, N, M) and C_R (B, M) are an iterate as :func:`fixed_point_batch`
-    holds it, phi (B, M) its nodal controls.  Returns ``(F, F_R, S)``:
-    F = A(Z) C - S(Z) (3, B, N, M) for L, H and F, with the operators and
-    sources of a fixed-point pass at the iterate Z = (C, C_R) itself;
-    F_R = C_R - (T/2) v(-1) D1t^-T (B, M) for R; and the sources S, the scale
-    the field residuals are read against.  A fixed point of the pass is a
-    zero of (F, F_R).
+    C (3, B, N, M) and C_R (B, M) stack B iterates of
+    :func:`fixed_point_solve` on their axes 1 and 0, phi (B, M) their nodal
+    controls.  Returns ``(F, F_R, S)``: F = A(Z) C - S(Z) (3, B, N, M) for
+    L, H and F, with the operators and sources of a fixed-point pass at the
+    iterate Z = (C, C_R) itself; F_R = C_R - (T/2) v(-1) D1t^-T (B, M) for R;
+    and the sources S, the scale the field residuals are read against.  A
+    fixed point of the pass is a zero of (F, F_R).
     """
-    fr = _frame(model.Points(setup.rho[None, :, None], params), C, C_R, setup)
+    fr = _frame(model.Points(setup.rho[None, :, None], params), C, C_R[:, None], setup)
     F, v_inner, S, _, _ = _pass_residual(fr, C, phi, setup, params)
     return F, C_R - _boundary(v_inner, setup, params), S
 
@@ -534,94 +522,58 @@ def fixed_point_solve(control: ControlVector, setup: CollocationSetup,
                       max_iter: int = FP_MAX_ITER) -> StateSolution:
     """Iterate the linearized collocation systems to a fixed point.
 
-    :func:`fixed_point_batch` for the one nodal control of ``control``.
-    """
-    return fixed_point_batch(control.values_at(setup.t)[None], setup, params,
-                             tol=tol, max_iter=max_iter)[0]
-
-
-def fixed_point_batch(phi, setup: CollocationSetup, params: ModelParameters,
-                      tol: float = FP_TOL, max_iter: int = FP_MAX_ITER) -> list:
-    """Fixed points for a batch of nodal controls ``phi`` (B, M), one state each.
-
     All coefficient and source grids are frozen at the previous iterate; the
     boundary ODE (2/T) R' = v(-1, t) is advanced with the previous velocity.
-    L and H share one operator, solved once with both sources.  A member
-    converges when the sup-norm delta of its stacked coefficients drops
-    below ``tol``; from then on its iterate is held exactly in place while
-    the others move on.  A member still moving after ``max_iter`` passes is
-    returned with ``converged=False``.  Each pass solves the whole batch
-    together: one batched dense solve for L/H and one for F, or GMRES member
-    by member above ``DENSE_MAX_UNKNOWNS``; the matrix-free path does not
-    solve a held member again.  Every member takes the same passes, and
-    gives bit for bit the same state, as a batch of one.  Each pass builds
-    one :class:`~plaquectrl.model.Frame` of the new iterate, which serves
-    its velocity solve and the next pass's grids.  The iterate C is
-    (3, B, N, M), field-major like both, and member b gets ``C[:, b]``.
+    L and H share one operator, solved once with both sources
+    (:func:`_solve_fields`).  The solve converges when the sup-norm delta of
+    the stacked coefficients drops below ``tol``; still moving after
+    ``max_iter`` passes, it is returned with ``converged=False``.  Each pass
+    builds one :class:`~plaquectrl.model.Frame` of the new iterate, which
+    serves its velocity solve and the next pass's grids.
 
-    Updates are under-relaxed adaptively, per member: the blend weight
-    halves whenever the raw update delta grows and recovers toward 1 as it
-    contracts.  Any limit of the damped sweep is a fixed point of the
-    undamped map, so the converged solution is unaffected; the damping only
-    stabilizes the transient, which diverges on coarse grids under the plain
-    sweep.  A non-finite update of a moving member raises
-    :class:`NonConvergenceError`.
+    Updates are under-relaxed adaptively: the blend weight halves whenever
+    the raw update delta grows and recovers toward 1 as it contracts.  Any
+    limit of the damped sweep is a fixed point of the undamped map, so the
+    converged solution is unaffected; the damping only stabilizes the
+    transient, which diverges on coarse grids under the plain sweep.  A
+    non-finite update raises :class:`NonConvergenceError`.
     """
     if not 0.0 < tol < np.inf or max_iter < 1:
         raise ValueError("tol must be positive and finite, and max_iter >= 1")
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape[1:] != (setup.M,) or not (phi.size and np.isfinite(phi).all()):
-        raise ValueError(f"phi must be a finite (B, {setup.M}) array, B >= 1")
-    B, (N, M) = len(phi), (setup.N, setup.M)
-    C = np.zeros((3, B, N, M))  # L, H, F coefficient matrices
-    C_R = np.zeros((B, M))
-    pts = model.Points(setup.rho[None, :, None], params)
+    phi = control.values_at(setup.t)
+    N, M = setup.N, setup.M
+    C = np.zeros((3, N, M))  # L, H, F coefficient matrices
+    C_R = np.zeros(M)
+    pts = model.Points(setup.rho[:, None], params)
     fr = _frame(pts, C, C_R, setup)
-    v_field, v_inner = np.zeros((B, N, M)), np.zeros((B, M))
-    last, omega = np.full(B, np.inf), np.ones(B)  # previous update delta, blend weight
-    passes = np.zeros(B, dtype=int)  # pass each member converged at, 0 while moving
-    history = [[] for _ in range(B)]
-    # Dense buffers shared by L/H and F, each solved before the next is assembled;
-    # column-major: assembly writes each column contiguously, and in C order it is
-    # 1.7x slower (8 x 8, B = 7).  Matrix-free, each member's preconditioners by system.
-    work = (np.empty((2, B, N * M, N * M)).swapaxes(2, 3)
-            if N * M <= DENSE_MAX_UNKNOWNS else [{} for _ in range(B)])
+    v_field, v_inner = np.zeros((N, M)), np.zeros(M)
+    last, omega = np.inf, 1.0  # previous update delta, blend weight
+    history, reuse = [], {}  # update deltas; each matrix-free system's dict, by name
 
     for it in range(1, max_iter + 1):
-        S, LH, F = kernels.eval_state_grids(fr, v_inner[:, None], v_field, phi[:, None])
-        moving = passes == 0
-        C_new = _solve_fields(S, LH, F, setup, params, work, C, moving)
+        S, LH, F = kernels.eval_state_grids(fr, v_inner, v_field, phi)
+        C_new = _solve_fields(S, LH, F, setup, params, C, reuse)
         C_R_new = _boundary(v_inner, setup, params)
-        delta = np.maximum(np.abs(C_new - C).max(axis=(0, 2, 3)),
-                           np.abs(C_R_new - C_R).max(axis=1))
-        if not np.all(np.isfinite(delta[moving])):
+        delta = float(np.maximum(np.abs(C_new - C).max(), np.abs(C_R_new - C_R).max()))
+        if not np.isfinite(delta):
             raise NonConvergenceError(f"non-finite update at iteration {it}")
-        omega = np.where(delta > last, np.maximum(0.5 * omega, 0.1),
-                         np.where((omega < 1.0) & (delta < 0.5 * last),
-                                  np.minimum(2.0 * omega, 1.0), omega))
+        if delta > last:
+            omega = max(0.5 * omega, 0.1)
+        elif omega < 1.0 and delta < 0.5 * last:
+            omega = min(2.0 * omega, 1.0)
         last = delta
-        for b in np.flatnonzero(moving):
-            history[b].append(float(delta[b]))
-        # A held member keeps its iterate exactly: np.where, not a zero
-        # weight, as 0 * NaN of a held member's update would be NaN.
-        w = omega[:, None, None]
-        C = np.where(moving[:, None, None], (1.0 - w) * C + w * C_new, C)
-        C_R = np.where(moving[:, None], (1.0 - w[:, 0]) * C_R + w[:, 0] * C_R_new, C_R)
+        history.append(delta)
+        C = (1.0 - omega) * C + omega * C_new
+        C_R = (1.0 - omega) * C_R + omega * C_R_new
         fr = _frame(pts, C, C_R, setup)
         v_field, v_inner, _, _ = model.velocity_solve(fr, setup)
-        passes[moving & (delta < tol)] = it
-        if passes.all():
+        if delta < tol:
             break
-    counts = ([[sum(d[key] for d in reuse.values()) for key in ("gmres_iterations", "builds")]
-               for reuse in work] if isinstance(work, list) else [(0, 0)] * B)
-    return [StateSolution(C=C[:, b], C_R=C_R[b], phi=phi[b], v_field=v_field[b],
-                          v_inner=v_inner[b], residual_history=history[b],
-                          converged=bool(passes[b]),
-                          iterations=int(passes[b]) or max_iter, gmres_iterations=its,
-                          preconditioner_builds=builds,
-                          objective=1.0 - float((C_R[b] @ setup.D0t)[-1]) - params.eps,
-                          setup=setup)
-            for b, (its, builds) in enumerate(counts)]
+    return StateSolution(C=C, C_R=C_R, phi=phi, v_field=v_field, v_inner=v_inner,
+                         residual_history=history, converged=delta < tol, iterations=it,
+                         gmres_iterations=sum(d["gmres_iterations"] for d in reuse.values()),
+                         preconditioner_builds=sum(d["builds"] for d in reuse.values()),
+                         objective=1.0 - float(fr.R[-1]) - params.eps, setup=setup)
 
 
 def objective(control: ControlVector, setup: CollocationSetup,
@@ -644,13 +596,12 @@ def solve_direct(setup: CollocationSetup, params: ModelParameters,
 
     The SQP oracle maps a batch of control vectors to their objectives.  The
     fixed point reads a control only through its values at the time nodes,
-    so within this call each distinct nodal control is solved once: a batch
-    is reduced to the nodal controls not seen before, which are solved
-    together by :func:`fixed_point_batch`.  Every state is checked by
-    :func:`require_converged` before its objective is used.  The SQP's
-    gradient at a point is :func:`gradient` at the state the oracle solved
-    there.  ``x0_state``, a converged state the caller already holds for the
-    start x0 = 0 (solved with the same tolerances), stands in for that solve.
+    so within this call each distinct nodal control is solved once, by
+    :func:`fixed_point_solve`, and checked by :func:`require_converged`
+    before its objective is used.  The SQP's gradient at a point is
+    :func:`gradient` at the state the oracle solved there.  ``x0_state``, a
+    converged state the caller already holds for the start x0 = 0 (solved
+    with the same tolerances), stands in for that solve.
 
     Returns ``(control, state, value, result)`` where ``result`` is the full
     SQP trace/diagnostics.
@@ -662,26 +613,20 @@ def solve_direct(setup: CollocationSetup, params: ModelParameters,
         require_converged(x0_state, "x0")
         states[x0_state.phi.tobytes()] = x0_state
 
-    def nodal(x):
-        """Memo key and values of control ``x`` at the time nodes."""
-        phi = ControlVector(segments=x, Kbound=params.Kbound).values_at(setup.t)
-        return phi.tobytes(), phi
-
-    def oracle(X):
-        keys, phis = zip(*map(nodal, X))
-        new = {k: phi for k, phi in zip(keys, phis) if k not in states}
-        if new:
-            batch = fixed_point_batch(np.stack(list(new.values())), setup, params,
-                                      tol=fp_tol, max_iter=fp_max_iter)
-            for k, state in zip(new, batch):
-                require_converged(state, "objective")
-                states[k] = state
-        return np.array([states[k].objective for k in keys])
+    def solved(x):
+        """The converged state of control ``x``, solved once per nodal control."""
+        control = ControlVector(segments=x, Kbound=params.Kbound)
+        key = control.values_at(setup.t).tobytes()
+        if key not in states:
+            state = fixed_point_solve(control, setup, params, tol=fp_tol, max_iter=fp_max_iter)
+            require_converged(state, "objective")
+            states[key] = state
+        return states[key]
 
     problem = NlpProblem(dimension=M, lower=np.zeros(M),
-                         upper=np.full(M, params.Kbound), objective=oracle,
-                         options=opts,
-                         gradient=lambda x: gradient(states[nodal(x)[0]], setup, params))
+                         upper=np.full(M, params.Kbound),
+                         objective=lambda X: np.array([solved(x).objective for x in X]),
+                         options=opts, gradient=lambda x: gradient(solved(x), setup, params))
     result = sqp_minimize(problem, np.zeros(M))
     best = ControlVector(segments=result.x, Kbound=params.Kbound)
-    return best, states[nodal(result.x)[0]], result.fun, result
+    return best, solved(result.x), result.fun, result

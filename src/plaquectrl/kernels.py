@@ -1,14 +1,14 @@
 """Evaluation of the state-equation coefficient and right-hand-side grids.
 
 The fixed-point solver evaluates every model coefficient and source at all
-(N x M) collocation node pairs once per iteration, for every member of a
-batch of controls at once; the collocation residual evaluates them on a
-batch of iterates (the exact gradient's stepped time colors).  The grids
-are built by broadcasting the pointwise formulas of :mod:`plaquectrl.model`
-over a column of space nodes against a row of time nodes, with the state
-stacked as in the model: L, H, F on the first axis.  They read the
-iterate's :class:`~plaquectrl.model.Frame`, which the fixed point builds
-once per pass and shares with its velocity solve.
+(N x M) collocation node pairs once per iteration, for its one control; the
+collocation residual evaluates them on a batch of iterates (the exact
+gradient's stepped time colors).  The grids are built by broadcasting the
+pointwise formulas of :mod:`plaquectrl.model` over a column of space nodes
+against a row of time nodes, with the state stacked as in the model: L, H,
+F on the first axis.  They read the iterate's
+:class:`~plaquectrl.model.Frame`, which the fixed point builds once per pass
+and shares with its velocity solve.
 """
 
 from __future__ import annotations

@@ -91,17 +91,17 @@ class TestOperator:
             A_H = direct.assemble_operator(*LH, s, P)
             assert np.array_equal(A_L, A_H)
 
-    def test_out_buffers_receive_the_operator(self):
+    def test_batch_of_grids_gives_one_operator_each(self):
+        # the residual Jacobian assembles the operators of two grid pairs at once
         rng = np.random.default_rng(3)
         for N, M in [(8, 8), (3, 5)]:
             s = build_setup(N, M)
             g1, G2 = rng.uniform(1.0, 5.0, (3, 1, M)), rng.normal(size=(3, N, M))
-            buf, scratch = np.full((2, 3, N * M, N * M), np.nan)
-            A = direct.assemble_operator(g1, G2, s, P, out=(buf, scratch))
-            assert A is buf
-            assert np.array_equal(A, direct.assemble_operator(g1, G2, s, P))
+            A = direct.assemble_operator(g1, G2, s, P)
+            assert A.shape == (3, N * M, N * M)
             _assert_columns_are_the_map(A, g1, G2, s)
-            _assert_columns_are_the_map(direct.assemble_operator(g1, G2, s, P), g1, G2, s)
+            for b in range(3):
+                assert np.array_equal(A[b], direct.assemble_operator(g1[b, 0], G2[b], s, P))
 
     def test_matches_kronecker_formula(self):
         rng = np.random.default_rng(5)
@@ -117,9 +117,6 @@ class TestOperator:
                 A = direct.assemble_operator(g, G, s, P)
                 assert np.max(np.abs(A - expected)) <= 1e-13 * np.max(np.abs(expected))
                 _assert_columns_are_the_map(A, g, G, s)
-                buf = np.empty((2, N * M, N * M)).swapaxes(1, 2)
-                _assert_columns_are_the_map(direct.assemble_operator(g, G, s, P, out=buf),
-                                            g, G, s)
 
 
 def _assert_columns_are_the_map(A, g1, G2, s):
@@ -227,23 +224,14 @@ class TestFixedPoint:
         s = build_setup(4, 4)
         for passes in (1, 2, 3):
             calls.clear()
-            states = direct.fixed_point_batch(np.zeros((2, 4)), s, P, max_iter=passes)
-            assert [st.iterations for st in states] == [passes, passes]
+            st = direct.fixed_point_solve(_zero_control(4), s, P, max_iter=passes)
+            assert st.iterations == passes
             assert len(calls) == passes + 1
 
     def test_infinite_tolerance_rejected(self):
-        # tol = inf once stopped every member after one pass as converged
+        # tol = inf once stopped the solve after one pass as converged
         with pytest.raises(ValueError):
-            direct.fixed_point_batch(np.zeros((2, 4)), build_setup(4, 4), P,
-                                     tol=np.inf)
-
-    @pytest.mark.parametrize("phi", [np.full((1, 4), np.nan), np.zeros((1, 3)),
-                                     np.zeros(4), np.zeros((0, 4))],
-                             ids=["nan", "wrong-M", "1-D", "empty"])
-    def test_bad_nodal_controls_rejected(self, phi):
-        # a NaN control once surfaced as a singular L collocation operator
-        with pytest.raises(ValueError, match="phi must be a finite"):
-            direct.fixed_point_batch(phi, build_setup(4, 4), P)
+            direct.fixed_point_solve(_zero_control(4), build_setup(4, 4), P, tol=np.inf)
 
     def test_non_finite_update_names_its_pass(self, monkeypatch):
         passes, solve = [], direct._solve_fields
@@ -252,19 +240,30 @@ class TestFixedPoint:
             X = solve(*args)
             passes.append(1)
             if len(passes) == 3:
-                X[:, 1] = np.nan  # member 1 is still moving: 49 passes at 4x4
+                X[1, 2, 3] = np.nan  # the zero control is still moving: 49 passes at 4x4
             return X
 
         monkeypatch.setattr(direct, "_solve_fields", nan_at_pass_3)
         with pytest.raises(direct.NonConvergenceError,
                            match="^non-finite update at iteration 3$"):
-            direct.fixed_point_batch(np.zeros((2, 4)), build_setup(4, 4), P)
+            direct.fixed_point_solve(_zero_control(4), build_setup(4, 4), P)
 
     def test_nan_tolerance_rejected(self):
         # a NaN tol once stopped every member after one pass as converged
         with pytest.raises(ValueError):
             direct.fixed_point_solve(_zero_control(8), build_setup(8, 8), P,
                                      tol=np.nan)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_final_radius_is_the_last_nodal_radius(self, n):
+        # one path for R(1): J, the manifest and the last row of
+        # direct_radius.csv all read the same bits
+        K, setup = P.Kbound, build_setup(n, n)
+        segments = [np.zeros(n), np.full(n, K), K * np.eye(n)[0], np.linspace(0.0, K, n),
+                    K * (np.arange(n) % 2), K * np.eye(n)[-1], np.full(n, 0.5 * K)]
+        states = [direct.fixed_point_solve(direct.ControlVector(x, K), setup, P)
+                  for x in segments]
+        assert [st.final_radius() for st in states] == [st.radius_nodes()[-1] for st in states]
 
 
 class TestSolveDirect:
@@ -314,36 +313,62 @@ class TestSolveDirect:
         refs = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
         pool = json.loads(refs.read_text())["fixedpoint-32x32"]["controls"][:2]
         s32 = build_setup(32, 32)
-        states = [direct.fixed_point_solve(direct.ControlVector(np.array(c), P.Kbound),
-                                           s32, P) for c in pool]
-        batch = direct.fixed_point_batch
+        solve = direct.fixed_point_solve
+        states = [solve(direct.ControlVector(np.array(c), P.Kbound), s32, P) for c in pool]
 
         def collecting(*args, **kw):
-            got = batch(*args, **kw)
-            states.extend(got)
+            states.append(got := solve(*args, **kw))
             return got
 
-        monkeypatch.setattr(direct, "fixed_point_batch", collecting)
+        monkeypatch.setattr(direct, "fixed_point_solve", collecting)
         direct.solve_direct(build_setup(8, 8), P)
         assert len(states) > 2
         for st in states:
             assert st.objective == 1.0 - st.final_radius() - P.eps
 
     def test_unconverged_line_search_point_raises(self, monkeypatch):
-        batch, calls = direct.fixed_point_batch, []
+        solve, calls = direct.fixed_point_solve, []
 
-        def first_search_point_capped(phi, setup, params, **kw):
+        def first_search_point_capped(control, setup, params, **kw):
             calls.append(1)
             if len(calls) == 2:  # x0, then the first line-search point
                 kw["max_iter"] = 2
-            return batch(phi, setup, params, **kw)
+            return solve(control, setup, params, **kw)
 
-        monkeypatch.setattr(direct, "fixed_point_batch", first_search_point_capped)
+        monkeypatch.setattr(direct, "fixed_point_solve", first_search_point_capped)
         with pytest.raises(direct.NonConvergenceError,
                            match="objective fixed-point solve did not converge "
                                  "in 2 iterations"):
             direct.solve_direct(build_setup(4, 4), P_SLOW)
         assert len(calls) == 2
+
+    def test_each_nodal_control_solved_once(self, monkeypatch):
+        # 26 SQP iterations at mu1=0.06, 4x4: every point the oracle receives is
+        # solved on its first nodal control only, and x0's state comes from the caller
+        s, solve, sqp = build_setup(4, 4), direct.fixed_point_solve, direct.sqp_minimize
+        x0_state = solve(_zero_control(4), s, P_SLOW)
+        received, solved = [], []
+
+        def nodal(x):
+            return direct.ControlVector(x, P_SLOW.Kbound).values_at(s.t).tobytes()
+
+        def recording(control, *args, **kw):
+            solved.append(control.values_at(s.t).tobytes())
+            return solve(control, *args, **kw)
+
+        def watched(problem, x0):
+            def oracle(X):
+                received.extend(map(nodal, X))
+                return problem.objective(X)
+
+            return sqp(replace(problem, objective=oracle), x0)
+
+        monkeypatch.setattr(direct, "fixed_point_solve", recording)
+        monkeypatch.setattr(direct, "sqp_minimize", watched)
+        *_, result = direct.solve_direct(s, P_SLOW, x0_state=x0_state)
+        assert result.converged and result.iterations == 26
+        assert nodal(np.zeros(4)) in received
+        assert solved == list(dict.fromkeys(k for k in received if k != nodal(np.zeros(4))))
 
     def test_decoupled_optimum(self):
         s = build_setup(4, 4)
@@ -375,8 +400,8 @@ class TestResidual:
         # A(Z) C - S(Z) with the dense operators, and the boundary ODE's
         # (2/T) D1t' C_R = v(-1) solved for C_R, on a batch of two iterates
         s = build_setup(4, 4)
-        states = direct.fixed_point_batch(np.array([np.zeros(4), np.full(4, 0.7)]),
-                                          s, P, max_iter=3)
+        states = [direct.fixed_point_solve(direct.ControlVector(x, P.Kbound), s, P, max_iter=3)
+                  for x in (np.zeros(4), np.full(4, 0.7))]
         C = np.stack([st.C for st in states], axis=1)
         C_R = np.stack([st.C_R for st in states])
         phi = np.stack([st.phi for st in states])
@@ -405,9 +430,7 @@ class TestGradient:
         x = np.random.default_rng(n).uniform(0.1, 0.9, n)
         g = direct.gradient(_tight_state(x, s, params), s, params)
         probes = np.concatenate([x + h * np.eye(n), x - h * np.eye(n)])
-        J = [st.objective for st in direct.fixed_point_batch(
-            np.stack([_nodal(xp, s, params) for xp in probes]), s, params,
-            tol=1e-13, max_iter=2000)]
+        J = [_tight_state(xp, s, params).objective for xp in probes]
         fd = (np.array(J[:n]) - np.array(J[n:])) / (2.0 * h)
         assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(fd))
 
@@ -492,22 +515,18 @@ class TestGradient:
 
     def test_sweep_solves_the_zero_control_once(self, monkeypatch):
         # solve_direct starts from the sweep's own uncontrolled state
-        batch, sizes = direct.fixed_point_batch, []
+        solve, zero = direct.fixed_point_solve, []
 
-        def counting(phi, *args, **kw):
-            sizes.append(len(phi))
-            return batch(phi, *args, **kw)
+        def counting(control, *args, **kw):
+            zero.append(not control.segments.any())
+            return solve(control, *args, **kw)
 
-        monkeypatch.setattr(direct, "fixed_point_batch", counting)
+        monkeypatch.setattr(direct, "fixed_point_solve", counting)
         row, = verify.control_effect_sweep([verify.DEFAULT_SWEEP_PAIRS[0]], P,
                                            build_setup(8, 8))
         assert not row["failed"] and row["sqp_converged"]
-        assert sizes == [1]
+        assert zero == [True]  # the sweep's own solve; the SQP stops at x0
         assert row["objective_controlled"] == row["objective_uncontrolled"]
-
-
-def _nodal(segments, setup, params):
-    return direct.ControlVector(segments, params.Kbound).values_at(setup.t)
 
 
 def _objective(state, params):
@@ -515,81 +534,13 @@ def _objective(state, params):
 
 
 def _assert_same_state(got, ref, params):
-    """A batch member against its own solve: same passes, same fields, bit for
-    bit (the sweep compares the J of two solves of the zero control strictly)."""
+    """Two solves of one control: same passes, same fields, bit for bit."""
     assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
     assert got.residual_history == ref.residual_history
     for a, b in ((got.C, ref.C), (got.C_R, ref.C_R), (got.v_field, ref.v_field),
                  (got.v_inner, ref.v_inner)):
         assert np.array_equal(a, b)
     assert _objective(got, params) == _objective(ref, params)
-
-
-def _check_batch(segments, setup, params, **kw):
-    """Solve ``segments`` as one batch; each member must match its own solve."""
-    batch = direct.fixed_point_batch(
-        np.stack([_nodal(x, setup, params) for x in segments]), setup, params, **kw)
-    for x, got in zip(segments, batch):
-        ref = direct.fixed_point_solve(direct.ControlVector(x, params.Kbound),
-                                       setup, params, **kw)
-        _assert_same_state(got, ref, params)
-    return batch
-
-
-def _bang_segments(n, K):
-    return [np.zeros(n), np.full(n, K), K * np.eye(n)[0],
-            np.linspace(0.0, K, n), K * (np.arange(n) % 2)]
-
-
-class TestBatch:
-    @pytest.mark.parametrize("n", [4, 8])
-    @pytest.mark.parametrize("params", [P, P_SLOW], ids=["default", "mu1=0.06"])
-    def test_members_match_their_own_solves(self, n, params):
-        batch = _check_batch(_bang_segments(n, params.Kbound), build_setup(n, n), params)
-        assert all(st.converged for st in batch)
-
-    def test_members_converge_at_different_passes(self):
-        # at 4x4 the zero control needs 49 passes and the full control 61
-        batch = _check_batch([np.zeros(4), np.full(4, P.Kbound)], build_setup(4, 4), P)
-        assert batch[0].iterations < batch[1].iterations
-
-    def test_capped_member_unconverged_while_the_other_converges(self):
-        zero, full = _check_batch([np.zeros(4), np.full(4, P.Kbound)],
-                                  build_setup(4, 4), P, max_iter=55)
-        assert zero.converged and zero.iterations < 55
-        assert not full.converged and full.iterations == 55
-        assert len(full.residual_history) == 55
-
-    @pytest.mark.parametrize("tol, max_iter, early, late", [
-        (1e-10, direct.FP_MAX_ITER, 65, 87), (direct.FP_TOL, 55, 49, 55)],
-        ids=["tol=1e-10", "capped"])
-    def test_early_member_between_later_ones(self, tol, max_iter, early, late):
-        # the zero control converges first; held in the middle of the batch,
-        # it must neither shift its neighbours' rows nor take further passes
-        K = P.Kbound
-        full, zero, ramp = _check_batch(
-            [np.full(4, K), np.zeros(4), np.linspace(0.0, K, 4)],
-            build_setup(4, 4), P, tol=tol, max_iter=max_iter)
-        assert zero.converged and zero.iterations == early
-        for st in (full, ramp):
-            assert st.iterations == late
-            assert st.converged == (late < max_iter)
-
-    @pytest.mark.parametrize("n", [8, 16])
-    def test_final_radius_is_the_last_nodal_radius(self, n):
-        # one path for R(1): J, the manifest and the last row of
-        # direct_radius.csv all read the same bits
-        K, setup = P.Kbound, build_setup(n, n)
-        segments = _bang_segments(n, K) + [K * np.eye(n)[-1], np.full(n, 0.5 * K)]
-        batch = direct.fixed_point_batch(
-            np.stack([_nodal(x, setup, P) for x in segments]), setup, P)
-        assert len(batch) == 7
-        assert [st.final_radius() for st in batch] == [st.radius_nodes()[-1] for st in batch]
-
-    def test_matrix_free_batch(self):
-        s = build_setup(16, 16)
-        assert s.N * s.M > direct.DENSE_MAX_UNKNOWNS
-        _check_batch([np.zeros(16), np.full(16, P.Kbound)], s, P)
 
 
 def _grids_after(control, setup, params, steps):
@@ -696,22 +647,19 @@ class TestMatrixFree:
             direct._solve_matrix_free(*LH, s, P, sources, "L", np.zeros_like(sources), {})
 
     def test_non_finite_dense_source_raises(self, monkeypatch):
-        # A NaN source of the batched dense solve was reported as a singular
+        # A NaN source of the dense solve was reported as a singular
         # operator of cond ~ 6e2; a finite singular operator still is one.
         s = build_setup(8, 8)
-        S, (g1, G2), (g3, G32) = _grids_after(_zero_control(8), s, P, 2)
-        LH, F = (g1[None, None], G2[None]), (g3[None, None], G32[None])
-        work = np.empty((2, 1, 64, 64)).swapaxes(2, 3)
-        sources = S[:, None].copy()
-        sources[1, 0, 3, 4] = np.nan
+        S, LH, F = _grids_after(_zero_control(8), s, P, 2)
+        sources = S.copy()
+        sources[1, 3, 4] = np.nan
         with pytest.raises(direct.NonConvergenceError,
                            match="L collocation system has non-finite input"):
-            direct._solve_fields(sources, LH, F, s, P, work, None, np.ones(1, bool))
-        monkeypatch.setattr(direct, "assemble_operator",
-                            lambda *args, out: np.zeros_like(out[0]))
+            direct._solve_fields(sources, LH, F, s, P, None, {})
+        monkeypatch.setattr(direct, "assemble_operator", lambda *args: np.zeros((64, 64)))
         with pytest.raises(direct.SingularOperatorError,
                            match="singular L collocation operator"):
-            direct._solve_fields(S[:, None], LH, F, s, P, work, None, np.ones(1, bool))
+            direct._solve_fields(S, LH, F, s, P, None, {})
 
 
 class _Counted:
@@ -812,31 +760,6 @@ class TestMatrixFreeCounts:
         st = direct.fixed_point_solve(_zero_control(8), build_setup(8, 8), P)
         assert st.converged
         assert (st.gmres_iterations, st.preconditioner_builds) == (0, 0)
-
-    def test_held_member_counts_its_own_passes(self):
-        # at tol 1e-11 the zero control converges a pass before the full one;
-        # the matrix-free path does not solve a held member again, so each
-        # member counts as if alone
-        K, s, tol = P.Kbound, build_setup(10, 10), 1e-11
-        segments = (np.zeros(10), np.full(10, K))
-        batch = direct.fixed_point_batch(
-            np.stack([_nodal(x, s, P) for x in segments]), s, P, tol=tol)
-        assert batch[0].iterations < batch[1].iterations
-        for x, got in zip(segments, batch):
-            ref = direct.fixed_point_solve(direct.ControlVector(x, K), s, P, tol=tol)
-            assert ((got.gmres_iterations, got.preconditioner_builds)
-                    == (ref.gmres_iterations, ref.preconditioner_builds))
-
-    def test_held_member_is_not_solved_again(self, monkeypatch):
-        # the batch above: GMRES runs L, H and F once per pass of each
-        # member's own, 3 x (38 + 39) runs, where solving the held zero
-        # control in the full one's last pass made 3 x (39 + 39)
-        s, tol = build_setup(10, 10), 1e-11
-        phi = np.stack([_nodal(x, s, P) for x in (np.zeros(10), np.full(10, P.Kbound))])
-        monkeypatch.setattr(direct, "_gmres", gmres := _Counted(direct._gmres))
-        batch = direct.fixed_point_batch(phi, s, P, tol=tol)
-        assert batch[0].iterations < batch[1].iterations
-        assert gmres.calls == 3 * sum(st.iterations for st in batch)
 
     def test_median_fit_at_32x32(self):
         # fitting the drift to the time mean took 772 iterations and 15 builds

@@ -58,11 +58,11 @@ print('scipy.linalg' in sys.modules, state.converged, 'numpy.ma' in sys.modules)
 def test_dense_pass_allocates_no_fresh_pages():
     # Until a process frees a large mapped block, which raises the threshold
     # (importing scipy.linalg appears to), glibc maps every block above
-    # 128 KB afresh, so a per-pass (B, n, n) temporary (229 KB at B = 7,
-    # 8 x 8) faults in all its pages on every pass: 228 faults per pass.  The
-    # threshold is pinned there, so the count does not depend on what the
-    # process did before.  The workspace of fixed_point_batch leaves about
-    # 4.5, from mapping the workspace itself.
+    # 128 KB afresh, so a per-pass temporary above it faults in all its pages
+    # on every pass.  The threshold is pinned there, so the count does not
+    # depend on what the process did before.  The largest dense operator,
+    # 99 unknowns, is 99^2 x 8 B = 78 KB < 128 KB, so a pass's temporaries
+    # reuse freed heap.
     out = _run("""
 import resource, sys
 import numpy as np
@@ -70,12 +70,12 @@ from plaquectrl import direct
 from plaquectrl.params import ModelParameters
 from plaquectrl.spectral import build_setup
 P, s = ModelParameters(), build_setup(8, 8)
-phi = np.linspace(0.0, P.Kbound, 7)[:, None] * np.ones(8)
-direct.fixed_point_batch(phi, s, P)
+control = direct.ControlVector(np.full(8, 0.5 * P.Kbound), P.Kbound)
+direct.fixed_point_solve(control, s, P)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-states = direct.fixed_point_batch(phi, s, P)
+state = direct.fixed_point_solve(control, s, P)
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 assert 'scipy.linalg' not in sys.modules
-print(faults / max(st.iterations for st in states))
+print(faults / state.iterations)
 """, MALLOC_MMAP_THRESHOLD_="131072")
     assert float(out) < 20

@@ -290,8 +290,8 @@ class TestVelocitySolve:
 
 class TestBatchFrame:
     def test_members_match_batches_of_one_bit_for_bit(self):
-        # a fixed-point member takes the same passes as its batch of one, so
-        # no formula may round a member differently inside a batch; B = 3
+        # the residual Jacobian evaluates its colors as members of one batch,
+        # so no formula may round a member differently inside a batch; B = 3
         # also catches a batch axis broadcast against the three fields
         rng = np.random.default_rng(17)
         N, M, B = 6, 5, 3
